@@ -3,7 +3,7 @@
 
 Three measurements over the framed write-ahead journal
 (:mod:`repro.storage.framing`), swept across every storage backend
-(``file`` / ``sqlite`` / ``objstore`` — see ``docs/storage.md``):
+(``file`` / ``sqlite`` — see ``docs/storage.md``):
 
 * **append throughput** — operations appended per second under each
   :class:`~repro.storage.framing.DurabilityPolicy` fsync mode
@@ -20,7 +20,7 @@ Run as a script (the CI smoke job uses ``--quick``)::
         --out BENCH_durability.json --check
 
 ``--backend`` narrows the sweep to one backend; the default measures
-all three and nests the results per backend in the artifact.
+both and nests the results per backend in the artifact.
 
 ``--check`` asserts correctness invariants, not precise timings (shared
 runners are too noisy for tight throughput gates): fsync counts match
@@ -42,14 +42,13 @@ from pathlib import Path
 
 from repro.core import AddEssentialProperty, AddType, prop
 from repro.obs.metrics import REGISTRY
-from repro.storage.backend import StorageBackend
+from repro.storage.backend import FileBackend, StorageBackend
 from repro.storage.framing import DurabilityPolicy
 from repro.storage.journal import DurableLattice, JournalFile
-from repro.storage.objstore_backend import ObjectStoreBackend
 from repro.storage.sqlite_backend import SqliteBackend
 
 POLICIES = ("always", "batch", "never")
-BACKENDS = ("file", "sqlite", "objstore")
+BACKENDS = ("file", "sqlite")
 
 # Any slower than this on fsync=never and something is structurally
 # wrong with the backend, not merely a noisy runner.
@@ -59,12 +58,8 @@ MIN_OPS_PER_SEC = 100.0
 def make_fs(backend: str, tmp: str) -> StorageBackend:
     """A fresh backend instance rooted inside the scratch directory."""
     if backend == "file":
-        from repro.storage.backend import FileBackend
-
         return FileBackend()
-    if backend == "sqlite":
-        return SqliteBackend(Path(tmp) / "bench.sqlite")
-    return ObjectStoreBackend(Path(tmp) / "bench.objstore")
+    return SqliteBackend(Path(tmp) / "bench.sqlite")
 
 
 def script(n_ops: int) -> list:
@@ -239,7 +234,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--backend", choices=BACKENDS + ("all",), default="all",
-        help="storage backend to measure (default: sweep all three)",
+        help="storage backend to measure (default: sweep both)",
     )
     parser.add_argument(
         "--out", default="BENCH_durability.json",

@@ -253,12 +253,11 @@ class Objectbase:
         """Open (or create) a durable objectbase backed by a WAL file.
 
         ``path`` is a filesystem path or a backend URL: a bare path (or
-        ``file:PATH``) selects the plain-file backend, ``sqlite:DBFILE``
-        stores frames and checkpoints as rows in one SQLite database,
-        and ``objstore:ROOT`` uses a content-addressed object store with
-        an atomically swapped manifest (see ``docs/storage.md``).  All
-        backends satisfy the same crash-consistency contract; the
-        conformance suite runs verbatim against each.
+        ``file:PATH``) selects the plain-file backend, and
+        ``sqlite:DBFILE`` stores frames and checkpoints as rows in one
+        SQLite database (see ``docs/storage.md``).  Both backends satisfy
+        the same crash-consistency contract; the conformance suite runs
+        verbatim against each.
 
         Recovery replays the journal in batch mode: the first query after
         opening pays one derivation pass, regardless of the plan length.
@@ -587,21 +586,6 @@ class Objectbase:
                 "sync requires a durable objectbase (use Objectbase.open)"
             )
         self._journal.sync()
-
-    def storage_gc(self) -> int:
-        """Sweep storage-backend garbage (orphan object-store segments,
-        stale temp residue); returns the number of objects removed.
-
-        Only for a process that owns the store exclusively — the fenced
-        primary after acquiring its lease, or ``repro recover``.  A
-        read-only opener (a replica, a failover candidate) must never
-        call this: garbage is judged against the manifest this process
-        can see, and another writer's in-flight publish looks exactly
-        like garbage.  In-memory objectbases (and backends with no
-        substrate garbage) report zero.
-        """
-        collect = getattr(self._journal, "gc", None)
-        return collect() if callable(collect) else 0
 
     def __repr__(self) -> str:
         kind = "durable" if self.durable else "in-memory"

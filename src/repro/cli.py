@@ -90,8 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--db", required=True,
         help="journal path or backend URL (created when missing): a bare "
              "path or file:PATH for the filesystem backend, "
-             "sqlite:DBFILE for the SQLite backend, objstore:ROOT for "
-             "the content-addressed object store (see docs/storage.md)",
+             "sqlite:DBFILE for the SQLite backend (see docs/storage.md)",
     )
     parser.add_argument(
         "-v", "--verbose", action="count", default=0,
@@ -484,18 +483,11 @@ def _cmd_recover(args) -> int:
     from .storage.journal import JournalFile
 
     try:
-        journal = JournalFile(args.db)
-        report = journal.repair(mode=args.mode)
+        report = JournalFile(args.db).repair(mode=args.mode)
     except EvolutionError as exc:
         print(f"error [{error_code(exc)}]: {exc}", file=sys.stderr)
         return exit_code_for(exc)
     print(report.summary())
-    # Recovery implies exclusive ownership, so sweep backend crash
-    # residue too (orphan object-store segments); the GC grace period
-    # still protects a live writer if that assumption is ever wrong.
-    swept = journal.gc()
-    if swept:
-        print(f"storage GC swept {swept} orphan object(s)")
     try:
         ob = Objectbase.open(args.db)
     except EvolutionError as exc:
@@ -617,10 +609,10 @@ def _serve_primary(args, durability) -> int:
     from .storage.backend import storage_physical_path
 
     # The lease is a real file next to the backend's physical location
-    # (sqlite database file / object-store root), whatever the scheme —
-    # fencing must work across processes even for non-file backends.
-    # Resolved without constructing a backend: a failover candidate
-    # must not create, connect to, or sweep a store it does not own.
+    # (the sqlite database file for sqlite:) — fencing must work across
+    # processes even for non-file backends.  Resolved without
+    # constructing a backend: a failover candidate must not create or
+    # connect to a store it does not own.
     anchor = storage_physical_path(args.db)
     lease = FileLease(
         anchor.with_suffix(anchor.suffix + ".lease"), ttl=args.lease_ttl
@@ -634,14 +626,6 @@ def _serve_primary(args, durability) -> int:
     # WAL: a paused-and-resumed ex-primary fails with lease-lost (503)
     # instead of silently extending a superseded history.
     store.set_write_fence(lease.check)
-    # Now — and only now — this process owns the store exclusively, so
-    # it is safe to sweep crash residue (orphan object-store segments
-    # from a predecessor's interrupted publish).
-    swept = store.storage_gc()
-    if swept:
-        logging.getLogger(__name__).info(
-            "storage GC swept %d orphan object(s)", swept
-        )
     keeper = LeaseKeeper(lease)
     keeper.start()
     hub = ReplicationServer(

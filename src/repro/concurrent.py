@@ -521,15 +521,6 @@ class ConcurrentObjectbase:
     def sync(self) -> None:
         self._ob.sync()
 
-    def storage_gc(self, *, timeout: float | None = None) -> int:
-        """Sweep storage-backend garbage, serialized with writers.
-
-        Exclusive-writer-only (see :meth:`Objectbase.storage_gc`): the
-        primary calls this once its lease is acquired and fenced, never
-        before.
-        """
-        return self._write(self._ob.storage_gc, timeout)
-
     def set_write_fence(self, fence: Callable[[], None] | None) -> None:
         """Install (or clear, with ``None``) a write fence on the WAL.
 

@@ -129,7 +129,7 @@ class ReplicationSource:
             )
             scan = scan_log(data)
             frames = tuple(
-                data[r.offset:r.end].rstrip(b"\n") + b"\n"
+                r.line + b"\n"
                 for r in scan.records
                 if r.generation is None or r.generation >= generation
             )

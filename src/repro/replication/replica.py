@@ -58,16 +58,14 @@ from ..core.lattice import TypeLattice
 from ..core.operations import operation_from_dict
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import trace
-from ..storage.backend import resolve_storage_url
 from ..storage.faults import StorageFS
 from ..storage.framing import (
     DurabilityPolicy,
+    FramedRecord,
     frame_payload,
-    load_checkpoint,
-    read_log,
     timed_fsync,
-    write_checkpoint,
 )
+from ..storage.journal import JournalFile, RecordCodec, lattice_from_checkpoint
 from ..storage.reliability import RetryPolicy
 from .channel import Channel, ChannelClosed
 from .protocol import PROTOCOL_VERSION, Position
@@ -105,6 +103,10 @@ _DIVERGENCES = REGISTRY.counter(
     "Shipped records the replica could not apply (forced full resync)",
 )
 
+#: Operation records over the primary's shipped checkpoint documents,
+#: which are installed verbatim.
+_SHIPPED = RecordCodec(decode=operation_from_dict, snapshot=lambda state: state)
+
 
 class ReplicaStore:
     """The replica's durable state + published read snapshot.
@@ -125,14 +127,13 @@ class ReplicaStore:
         fs: StorageFS | None = None,
     ) -> None:
         # Replicas mirror into any backend too (same URL forms).
-        target = resolve_storage_url(path, fs=fs)
-        self.path = Path(target.path)
-        self.checkpoint_path = self.path.with_suffix(
-            self.path.suffix + ".checkpoint"
+        self.wal = JournalFile(
+            path, codec=_SHIPPED, durability=durability, fs=fs
         )
+        self.path = self.wal.path
         self.policy = policy
-        self.durability = durability or DurabilityPolicy()
-        self.fs = target.fs
+        self.durability = self.wal.durability
+        self.fs = self.wal.fs
         self._mutex = threading.Lock()
         self._lattice: TypeLattice
         self._snapshot: SchemaSnapshot
@@ -184,41 +185,24 @@ class ReplicaStore:
         """(Re)build the lattice and position from local durable state —
         process start and crash recovery share this one path."""
         with self._mutex:
-            state, generation = load_checkpoint(
-                self.checkpoint_path, fs=self.fs
-            )
-            lattice = (
-                _lattice_from_state(state) if state is not None
-                else TypeLattice(self.policy)
-            )
-            records, report = read_log(
-                self.path, fs=self.fs, mode="salvage",
-                decode=operation_from_dict, repair=True,
-            )
-            if not report.clean:
-                logger.warning(
-                    "replica WAL healed on reload: %s", report.summary()
-                )
             crc = 0
-            live = 0
-            data = (
-                self.fs.read_bytes(self.path)
-                if self.fs.exists(self.path) else b""
-            )
-            for record in records:
-                if (
-                    record.generation is not None
-                    and record.generation < generation
-                ):
-                    continue
+
+            def apply(
+                lattice: TypeLattice, record: FramedRecord, _following
+            ) -> None:
+                nonlocal crc
                 record.decoded.apply(lattice)
-                frame = data[record.offset:record.end].rstrip(b"\n") + b"\n"
-                crc = _crc32(frame, crc)
-                live += 1
-            self._lattice = lattice
-            self._position = Position(generation, live)
+                crc = _crc32(record.line + b"\n", crc)
+
+            replay = self.wal.replay(
+                lambda state: lattice_from_checkpoint(state, self.policy),
+                apply,
+                mode="salvage",
+            )
+            self._lattice = replay.base
+            self._position = Position(self.wal.generation, replay.replayed)
             self._tail_crc = crc
-            self._snapshot = SchemaSnapshot.capture(lattice)
+            self._snapshot = SchemaSnapshot.capture(replay.base)
 
     def install_checkpoint(self, state: dict | None, generation: int) -> None:
         """Replace everything with a shipped checkpoint (full resync)."""
@@ -226,17 +210,8 @@ class ReplicaStore:
             with trace.span(
                 "replication.install-checkpoint", generation=generation
             ):
-                write_checkpoint(
-                    self.checkpoint_path, state, generation,
-                    fs=self.fs, sync=self.durability.sync_checkpoints,
-                )
-                self.fs.write_bytes(self.path, b"")
-                if self.durability.sync_checkpoints:
-                    timed_fsync(self.fs, self.path)
-                lattice = (
-                    _lattice_from_state(state) if state is not None
-                    else TypeLattice(self.policy)
-                )
+                self.wal.checkpoint(state, generation=generation)
+                lattice = lattice_from_checkpoint(state, self.policy)
                 self._lattice = lattice
                 self._position = Position(generation, 0)
                 self._tail_crc = 0
@@ -330,12 +305,6 @@ class ReplicaStore:
 
 def _crc32(data: bytes, crc: int = 0) -> int:
     return zlib.crc32(data, crc) & 0xFFFFFFFF
-
-
-def _lattice_from_state(state: dict) -> TypeLattice:
-    from ..storage.snapshot import lattice_from_dict
-
-    return lattice_from_dict(state)
 
 
 class ReplicationClient(threading.Thread):

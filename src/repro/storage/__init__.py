@@ -12,16 +12,12 @@ from .backend import (
     FileBackend,
     StorageBackend,
     StorageTarget,
-    atomic_write_bytes,
-    backend_schemes,
-    register_backend,
     resolve_storage_url,
     storage_physical_path,
 )
 from .durable_store import DurableObjectbase
 from .faults import CrashPoint, FaultyFS, RealFS, StorageFS
-from .framing import DurabilityPolicy, SalvageReport
-from .objstore_backend import ObjectStoreBackend
+from .framing import DurabilityPolicy, SalvageReport, atomic_write_bytes
 from .sqlite_backend import SqliteBackend
 from .objectbase_snapshot import (
     load_objectbase,
@@ -47,13 +43,10 @@ __all__ = [
     "StorageBackend",
     "FileBackend",
     "SqliteBackend",
-    "ObjectStoreBackend",
     "StorageTarget",
     "atomic_write_bytes",
     "resolve_storage_url",
     "storage_physical_path",
-    "register_backend",
-    "backend_schemes",
     "objectbase_to_dict",
     "objectbase_from_dict",
     "save_objectbase",

@@ -1,36 +1,20 @@
-"""Pluggable storage backends behind the :class:`StorageFS` seam.
+"""Storage backends behind the :class:`StorageFS` seam.
 
 :class:`~repro.storage.faults.StorageFS` started life as a test seam;
 this module promotes it into the real backend abstraction.  Everything
 above the seam — framed WAL records, checkpoint generation fencing,
 salvage/quarantine, retry/degraded-mode, replication shipping — is
-already expressed purely in the ten byte-stream primitives, so a new
-backend only has to implement those primitives faithfully and the whole
-durability stack (and its crash matrix) comes along for free.
+expressed purely in the byte-stream primitives, so a backend only has
+to implement those primitives faithfully and the whole durability
+stack (and its crash matrix) comes along for free.
 
-The design follows the two exemplars the ROADMAP names: an ABC with
-capability *probes* rather than subclass checks (Snippet 1's
-``LogicObjectStorage`` probing ``supports_transactions``), and a
-content-addressed segment store published by an atomic pointer swap
-(Snippet 2's Retikon ``ObjectStore`` with ``atomic_write_bytes``).
+Two backends ship: POSIX files and sqlite.  Where they differ in what
+the primitives *already* guarantee, two class-level flags let the
+durability layer skip redundant work instead of branching on types:
 
-Capability probes
------------------
-Backends differ in what the primitives *already* guarantee; the probes
-let the durability layer skip work a substrate makes redundant instead
-of branching on types:
-
-``supports_atomic_replace``
-    ``replace`` publishes all-or-nothing even across a crash.  True for
-    every shipped backend (POSIX rename, a sqlite transaction, a
-    manifest pointer swap).
-``supports_transactions``
-    The backend can group primitives into one atomic transaction
-    (sqlite).  Probed, not assumed — callers that want a transaction
-    try ``transaction()`` and fall back to ordered writes.
 ``durable_rename``
     ``replace`` is durable by itself; the post-rename directory fsync
-    is unnecessary and :func:`~repro.storage.framing.write_checkpoint`
+    is unnecessary and :func:`~repro.storage.framing.atomic_write_bytes`
     skips it.
 ``durable_writes``
     Every mutating primitive commits durably before returning; fsync
@@ -44,16 +28,11 @@ path:
 
 * ``file:/var/lib/repro/schema.wal`` (or just the path) — POSIX files;
 * ``sqlite:/var/lib/repro/schema.db`` — WAL frames as rows, checkpoints
-  as blobs, inside one sqlite database;
-* ``objstore:/var/lib/repro/store`` — immutable content-addressed
-  segments plus an atomically-swapped manifest.
+  as blobs, inside one sqlite database.
 
 :func:`resolve_storage_url` returns the backend plus the *logical* path
 the journal should use inside it and the *physical* on-disk anchor
-(where sidecar files like the primary lease live).  Third-party
-backends register a scheme with :func:`register_backend`;
-``docs/storage.md`` walks through writing a conforming backend and
-running the conformance suite against it.
+(where sidecar files like the primary lease live).
 """
 
 from __future__ import annotations
@@ -70,17 +49,14 @@ __all__ = [
     "StorageBackend",
     "FileBackend",
     "StorageTarget",
-    "atomic_write_bytes",
     "resolve_storage_url",
     "storage_physical_path",
-    "register_backend",
-    "backend_schemes",
 ]
 
 
 class StorageBackend(StorageFS):
     """A production storage substrate: :class:`StorageFS` primitives
-    plus a scheme, capability probes and a lifecycle.
+    plus a lifecycle.
 
     Subclass contract (the conformance suite in
     ``tests/storage/test_crash_matrix.py`` / ``test_recovery_modes.py``
@@ -92,32 +68,22 @@ class StorageBackend(StorageFS):
       errors on missing sources);
     * transient substrate failures surface as :class:`OSError` so the
       retry layer (:mod:`repro.storage.reliability`) absorbs them;
-    * the capability probes inherited from :class:`StorageFS` describe
-      what the substrate already guarantees;
+    * the ``durable_rename``/``durable_writes`` flags inherited from
+      :class:`StorageFS` describe what the substrate already guarantees;
     * :meth:`close` releases substrate handles (idempotent).
     """
-
-    #: URL scheme this backend answers to (``""`` for none).
-    scheme: str = ""
 
     def close(self) -> None:
         """Release substrate resources; further use is undefined."""
 
-    def gc(self) -> int:
-        """Collect substrate garbage (orphan segments, stale temp
-        residue); returns the number of objects removed."""
-        return 0
-
 
 class FileBackend(RealFS, StorageBackend):
-    """The POSIX-file backend: :class:`RealFS` with a scheme.
+    """The POSIX-file backend: :class:`RealFS` as a :class:`StorageBackend`.
 
     Durability is the classic recipe — write, fsync the file, rename,
     fsync the directory — so ``durable_rename`` stays false and the
     checkpoint writer performs the directory fsync itself.
     """
-
-    scheme = "file"
 
 
 @dataclass(frozen=True)
@@ -126,9 +92,8 @@ class StorageTarget:
 
     ``path`` is the logical journal path *inside* the backend (the WAL;
     the checkpoint rides next to it via suffixing).  ``physical`` is the
-    on-disk anchor — the WAL file, the sqlite database file, the object
-    store root — where path-shaped sidecars (the primary lease) and
-    operator tooling point.
+    on-disk anchor — the WAL file or the sqlite database file — where
+    path-shaped sidecars (the primary lease) and operator tooling point.
     """
 
     fs: StorageFS
@@ -137,53 +102,9 @@ class StorageTarget:
     url: str
 
 
-def atomic_write_bytes(
-    fs: StorageFS, path: Path, data: bytes, *, sync: bool = True
-) -> None:
-    """Publish ``data`` at ``path`` atomically through ``fs`` primitives.
-
-    Temp file, optional fsync, rename, directory fsync (skipped when the
-    backend's rename is intrinsically durable).  A failed write never
-    touches the destination; the partial temp is removed.  This is the
-    pointer-swap primitive the object-store backend builds its manifest
-    on, and what the snapshot savers use.
-    """
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    try:
-        fs.write_bytes(tmp, data)
-        if sync:
-            fs.fsync_file(tmp)
-        fs.replace(tmp, path)
-    except OSError:
-        try:
-            fs.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    if sync and not getattr(fs, "durable_rename", False):
-        fs.fsync_dir(path.parent if str(path.parent) else Path("."))
-
-
 # -- URL resolution -----------------------------------------------------
 
 _SCHEME_RE = re.compile(r"^([A-Za-z][A-Za-z0-9+.-]*):")
-
-#: scheme -> factory(rest-of-url, full-url) -> StorageTarget
-_FACTORIES: dict[str, Callable[[str, str], StorageTarget]] = {}
-
-
-def register_backend(
-    scheme: str, factory: Callable[[str, str], StorageTarget]
-) -> None:
-    """Register a backend URL scheme (see ``docs/storage.md``)."""
-    _FACTORIES[scheme.lower()] = factory
-
-
-def backend_schemes() -> tuple[str, ...]:
-    """The registered URL schemes, for help text and validation."""
-    return tuple(sorted(_FACTORIES))
-
 
 def _file_target(rest: str, url: str) -> StorageTarget:
     path = Path(rest)
@@ -202,21 +123,11 @@ def _sqlite_target(rest: str, url: str) -> StorageTarget:
     )
 
 
-def _objstore_target(rest: str, url: str) -> StorageTarget:
-    from .objstore_backend import ObjectStoreBackend
-
-    root = Path(rest)
-    return StorageTarget(
-        fs=ObjectStoreBackend(root),
-        path=Path("wal"),
-        physical=root,
-        url=url,
-    )
-
-
-register_backend("file", _file_target)
-register_backend("sqlite", _sqlite_target)
-register_backend("objstore", _objstore_target)
+#: scheme -> factory(rest-of-url, full-url) -> StorageTarget
+_FACTORIES: dict[str, Callable[[str, str], StorageTarget]] = {
+    "file": _file_target,
+    "sqlite": _sqlite_target,
+}
 
 
 def _split_storage_url(db: str | Path) -> tuple[str, str] | None:
@@ -235,7 +146,7 @@ def _split_storage_url(db: str | Path) -> tuple[str, str] | None:
     if scheme not in _FACTORIES:
         raise JournalError(
             f"unknown storage backend scheme {scheme!r} in {raw!r} "
-            f"(expected one of: {', '.join(backend_schemes())})"
+            f"(expected one of: {', '.join(sorted(_FACTORIES))})"
         )
     rest = raw[match.end():]
     if rest.startswith("//"):
@@ -249,17 +160,14 @@ def storage_physical_path(db: str | Path) -> Path:
     """The on-disk anchor of a database location, **without** opening it.
 
     Unlike :func:`resolve_storage_url` — which constructs a live
-    backend, creating directories, opening a sqlite connection, or
-    initialising an object-store root as a side effect — this is pure
-    parsing.  It is what path-shaped sidecar placement (the primary
-    lease) and help text must use *before* ownership of the store is
-    established: a failover candidate anchoring its lease must not
-    mutate a store it does not yet own.
+    backend, opening (and creating) a sqlite database as a side
+    effect — this is pure parsing.  It is what path-shaped sidecar
+    placement (the primary lease) and help text must use *before*
+    ownership of the store is established: a failover candidate
+    anchoring its lease must not mutate a store it does not yet own.
 
-    For every shipped scheme the anchor is the URL's path part (the WAL
-    file, the sqlite database file, the object-store root).  Third-party
-    schemes registered via :func:`register_backend` are assumed to
-    follow the same convention.
+    For both schemes the anchor is the URL's path part (the WAL file,
+    the sqlite database file).
     """
     split = _split_storage_url(db)
     if split is None:
@@ -275,8 +183,8 @@ def resolve_storage_url(
 
     An explicit ``fs`` wins (tests injecting fault layers); a bare path
     resolves to the :class:`FileBackend`; ``scheme:rest`` dispatches to
-    the registered backend.  Resolving **constructs** the backend
-    (directories created, connections opened) — callers that only need
+    that scheme's backend.  Resolving **constructs** the backend
+    (a sqlite connection opened) — callers that only need
     the anchor path must use :func:`storage_physical_path` instead.
     """
     raw = str(db)

@@ -16,6 +16,10 @@ is the classic one:
 * **recovery** — load the latest snapshot, replay the live (unfenced)
   WAL tail through a fresh :class:`SchemaManager`.
 
+All three ride on :class:`~repro.storage.journal.JournalFile`, the one
+WAL engine: this module contributes only the record codec and the
+replay applier below.
+
 Because the log is written ahead of the mutation, a record can be on
 disk for an operation that never applied: (a) the method was *rejected*
 in memory — an ``__abort__`` marker is appended so replay skips the
@@ -34,7 +38,6 @@ checkpoint.
 
 from __future__ import annotations
 
-import json
 import logging
 from pathlib import Path
 from typing import Any, Callable
@@ -45,18 +48,10 @@ from ..tigukat.evolution import SchemaManager
 from ..tigukat.store import Objectbase
 from .backend import resolve_storage_url
 from .faults import StorageFS
-from .framing import (
-    DurabilityPolicy,
-    SalvageReport,
-    encode_frame,
-    fence_records,
-    load_checkpoint,
-    read_log,
-    timed_fsync,
-    write_checkpoint,
-)
+from .framing import DurabilityPolicy, FramedRecord
+from .journal import JournalFile, RecordCodec
 from .objectbase_snapshot import objectbase_from_dict, objectbase_to_dict
-from .reliability import DegradedLatch, RetryPolicy, append_record
+from .reliability import RetryPolicy
 
 __all__ = ["DurableObjectbase"]
 
@@ -99,6 +94,21 @@ def _decode_wal_record(record: dict) -> dict:
     return record
 
 
+_CODEC = RecordCodec(decode=_decode_wal_record, snapshot=objectbase_to_dict)
+
+
+class _Record(dict):
+    """A WAL record payload, in the shape :meth:`JournalFile.append`
+    writes (``to_dict()``)."""
+
+    def to_dict(self) -> dict:
+        return self
+
+
+def _target(manager: SchemaManager, method: str) -> Callable[..., Any]:
+    return getattr(manager, method, None) or getattr(manager.store, method)
+
+
 class DurableObjectbase:
     """An objectbase whose schema evolution is write-ahead durable."""
 
@@ -116,26 +126,23 @@ class DurableObjectbase:
         # inside it; an explicit ``fs`` always wins (fault injection).
         target = resolve_storage_url(directory, fs=fs)
         self.directory = Path(target.path)
-        self.fs = target.fs
-        self.fs.mkdirs(self.directory)
-        self.snapshot_path = self.directory / "objectbase.json"
-        self.wal_path = self.directory / "schema.wal"
-        self._bodies = computed_bodies or {}
-        self.durability = durability or DurabilityPolicy()
-        self.retry = retry or RetryPolicy()
-        self.latch = DegradedLatch(store=str(self.wal_path))
-
-        state, self._generation = load_checkpoint(
-            self.snapshot_path, fs=self.fs
+        target.fs.mkdirs(self.directory)
+        self.file = JournalFile(
+            self.directory / "schema.wal",
+            codec=_CODEC,
+            checkpoint_path=self.directory / "objectbase.json",
+            durability=durability,
+            fs=target.fs,
+            retry=retry,
         )
-        if state is not None:
-            self.store = objectbase_from_dict(state, self._bodies)
-        else:
-            self.store = Objectbase()
-        self.manager = SchemaManager(self.store)
+        self.wal_path = self.file.path
+        self._bodies = computed_bodies or {}
         self._seq = 0
-        self._since_checkpoint = 0
-        self.recovery_report = self._replay_wal(recovery)
+        replay = self.file.replay(self._load, self._replay_record, recovery)
+        self.manager = replay.base
+        self.store = self.manager.store
+        self.recovery_report = replay.report
+        self.file.auto_checkpoint(self.store)
 
     # -- the durable operation surface -------------------------------------
 
@@ -156,43 +163,28 @@ class DurableObjectbase:
             raise JournalError(
                 f"{method!r} is not a durable (WAL-replayable) operation"
             )
-        target = (
-            getattr(self.manager, method)
-            if hasattr(self.manager, method)
-            else getattr(self.store, method)
-        )
+        target = _target(self.manager, method)
         record_args = self._bind(spec, args, kwargs)
         self._seq += 1
-        self._append(
-            {"method": method, "args": record_args, "seq": self._seq}
+        self.file.append(
+            _Record(method=method, args=record_args, seq=self._seq)
         )
         try:
             result = target(*args, **kwargs)
         except SchemaError:
-            self._append({"method": _ABORT, "args": {"seq": self._seq}})
+            self.file.append(_Record(method=_ABORT, args={"seq": self._seq}))
             raise
-        self._since_checkpoint += 1
-        self._maybe_auto_checkpoint()
+        self.file.auto_checkpoint(self.store, 1)
         return result
 
     @property
     def degraded(self) -> bool:
         """Whether the store is latched read-only after append failure."""
-        return self.latch.degraded
+        return self.file.degraded
 
-    def _append(self, record: dict) -> None:
-        payload = json.dumps(record, sort_keys=True)
-        append_record(
-            self.fs,
-            self.wal_path,
-            encode_frame(payload, self._generation),
-            retry=self.retry,
-            latch=self.latch,
-            sync=(
-                (lambda: timed_fsync(self.fs, self.wal_path))
-                if self.durability.sync_appends else None
-            ),
-        )
+    @property
+    def _generation(self) -> int:
+        return self.file.generation
 
     def _bind(self, spec: tuple[str, ...], args: tuple, kwargs: dict) -> dict:
         bound: dict[str, Any] = {}
@@ -209,100 +201,70 @@ class DurableObjectbase:
                 ) else list(value)
         return bound
 
-    def _replay_wal(self, mode: str) -> SalvageReport:
-        records, report = read_log(
-            self.wal_path, fs=self.fs, mode=mode,
-            decode=_decode_wal_record, repair=True,
+    # -- recovery ---------------------------------------------------------------
+
+    def _load(self, state: dict | None) -> SchemaManager:
+        store = (
+            objectbase_from_dict(state, self._bodies) if state is not None
+            else Objectbase()
         )
-        live, report.records_fenced = fence_records(
-            records, self._generation
-        )
-        aborted = {
-            r.payload["args"].get("seq")
-            for r in live
-            if r.payload["method"] == _ABORT
-        }
-        self._seq = max(
-            (
-                r.payload.get("seq", 0) for r in live
-                if isinstance(r.payload.get("seq"), int)
-            ),
-            default=0,
-        )
-        replayable = [
-            r for r in live
-            if r.payload["method"] != _ABORT
-            and r.payload.get("seq") not in aborted
-        ]
-        for r in replayable:
-            method = r.payload["method"]
-            target = (
-                getattr(self.manager, method)
-                if hasattr(self.manager, method)
-                else getattr(self.store, method)
-            )
-            kwargs = dict(r.payload["args"])
-            for key in ("supertypes", "behaviors"):
-                if key in kwargs and isinstance(kwargs[key], list):
-                    kwargs[key] = tuple(kwargs[key])
-            try:
-                target(**kwargs)
-            except SchemaError as exc:
-                if r is live[-1]:
-                    # Write-ahead tail: logged, crashed before applying.
-                    _UNAPPLIED_TAIL.inc()
-                    logger.info(
-                        "skipping logged-but-unapplied tail record "
-                        "(line %d, method %s): %s",
-                        r.lineno, method, exc,
-                    )
-                    continue
+        return SchemaManager(store)
+
+    def _replay_record(
+        self,
+        manager: SchemaManager,
+        record: FramedRecord,
+        following: FramedRecord | None,
+    ) -> None:
+        """Re-execute one logged method.
+
+        A record whose ``__abort__`` marker follows it was rejected when
+        it was logged and is skipped unexecuted.  A final record that
+        the engine rejects is the logged-but-unapplied tail of a crash
+        between append and apply; anywhere else a rejection means the
+        log is broken.
+        """
+        payload = record.payload
+        seq = payload.get("seq")
+        if isinstance(seq, int):
+            self._seq = max(self._seq, seq)
+        method = payload["method"]
+        if method == _ABORT or (
+            following is not None
+            and following.payload["method"] == _ABORT
+            and following.payload["args"].get("seq") == seq
+        ):
+            return
+        kwargs = dict(payload["args"])
+        for key in ("supertypes", "behaviors"):
+            if isinstance(kwargs.get(key), list):
+                kwargs[key] = tuple(kwargs[key])
+        try:
+            _target(manager, method)(**kwargs)
+        except SchemaError as exc:
+            if following is not None:
                 raise JournalError(
-                    f"WAL replay failed at line {r.lineno}: {exc}"
+                    f"WAL replay failed at line {record.lineno}: {exc}"
                 ) from exc
-            self._since_checkpoint += 1
-        if not report.clean:
-            logger.warning("recovery(%s): %s", mode, report.summary())
-        return report
+            _UNAPPLIED_TAIL.inc()
+            logger.info(
+                "skipping logged-but-unapplied tail record "
+                "(line %d, method %s): %s", record.lineno, method, exc,
+            )
 
     # -- snapshots ------------------------------------------------------------
 
     def checkpoint(self) -> None:
         """Snapshot the whole store (schema AND instances); truncate WAL.
 
-        Atomic and fenced exactly like :meth:`JournalFile.checkpoint`:
-        temp file + fsync + rename + directory fsync, generation bumped
-        before the WAL truncate so a crash in between cannot replay the
-        stale tail on top of the snapshot.
+        Atomic and fenced exactly like :meth:`DurableLattice.checkpoint`
+        — the same :meth:`JournalFile.checkpoint` writes both.
         """
-        new_generation = self._generation + 1
-        sync = self.durability.sync_checkpoints
-        write_checkpoint(
-            self.snapshot_path,
-            objectbase_to_dict(self.store),
-            new_generation,
-            fs=self.fs,
-            sync=sync,
-        )
-        self._generation = new_generation
-        self.fs.write_bytes(self.wal_path, b"")
-        if sync:
-            timed_fsync(self.fs, self.wal_path)
-        self._since_checkpoint = 0
-
-    def _maybe_auto_checkpoint(self) -> None:
-        every = self.durability.checkpoint_every
-        if every is not None and self._since_checkpoint >= every:
-            logger.info(
-                "auto-checkpoint after %d record(s) (policy: every %d)",
-                self._since_checkpoint, every,
-            )
-            self.checkpoint()
+        self.file.checkpoint(self.store)
 
     def sync(self) -> None:
         """Flush appended WAL records (the batch-policy commit point)."""
-        if self.fs.exists(self.wal_path):
-            timed_fsync(self.fs, self.wal_path)
+        self.file.sync()
 
     @classmethod
     def reopen(

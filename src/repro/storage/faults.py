@@ -3,10 +3,10 @@
 The storage layer performs every mutating storage operation through a
 :class:`StorageFS` object.  :class:`RealFS` is the production filesystem
 implementation (thin wrappers over :mod:`os` / :mod:`pathlib`); the
-pluggable backends in :mod:`repro.storage.backend` implement the same
-primitives over other substrates (sqlite, a content-addressed object
-store).  :class:`FaultyFS` wraps *any* of them and injects the failure
-families the crash-matrix suite exercises:
+sqlite backend in :mod:`repro.storage.sqlite_backend` implements the
+same primitives over database rows.  :class:`FaultyFS` wraps *any* of
+them and injects the failure families the crash-matrix suite
+exercises:
 
 * **crash-at-boundary** — every mutating primitive exposes numbered
   *injection points* (before the effect, mid-write, ...).  Points are
@@ -47,14 +47,13 @@ families the crash-matrix suite exercises:
   retry path must also roll the partial write back.  Transient faults do
   **not** consume crash injection points — the two dimensions compose.
 * **backend-torn appends** — with ``backend_torn=True`` and a base that
-  exposes ``simulate_torn_append`` (the sqlite and object-store
-  backends), every append gains an ``append-backend-torn`` point whose
-  partial effect is the backend's own nastiest mid-append crash state:
-  sqlite leaves a half-payload *uncommitted transaction* (the partial
-  commit must be invisible on the next open), the object store writes
-  the segment but never swaps the manifest pointer (an orphan segment
-  GC must collect).  On a base without the hook the point simply does
-  not exist, so one matrix runs verbatim against every backend.
+  exposes ``simulate_torn_append`` (the sqlite backend), every append
+  gains an ``append-backend-torn`` point whose partial effect is the
+  backend's own nastiest mid-append crash state: sqlite leaves a
+  half-payload *uncommitted transaction* (the partial commit must be
+  invisible on the next open).  On a base without the hook the point
+  simply does not exist, so one matrix runs verbatim against every
+  backend.
 * **write reordering** — with ``reorder=True`` the fault model tracks,
   per file, the last state that an fsync barrier made durable.  When a
   mutation lands while *other* files still have un-synced changes, a
@@ -97,18 +96,13 @@ class StorageFS:
     """The storage primitives the durability path is allowed to use.
 
     Implementations may keep "files" anywhere — POSIX paths, sqlite
-    rows, content-addressed segments — as long as the byte-stream
-    semantics hold: ``append_bytes`` extends, ``write_bytes`` replaces,
-    ``replace`` atomically renames, ``truncate`` cuts to a prefix.
-    The class-level capability probes describe what the substrate
-    guarantees *beyond* the primitives; :mod:`repro.storage.backend`
-    documents them and the conformance suite exercises them.
+    rows — as long as the byte-stream semantics hold: ``append_bytes``
+    extends, ``write_bytes`` replaces, ``replace`` atomically renames,
+    ``truncate`` cuts to a prefix.  The two class-level flags describe
+    what the substrate guarantees *beyond* the primitives;
+    :mod:`repro.storage.backend` documents them.
     """
 
-    #: ``replace`` publishes all-or-nothing even across a crash.
-    supports_atomic_replace: bool = True
-    #: The backend can group primitives into one atomic transaction.
-    supports_transactions: bool = False
     #: ``replace`` is durable by itself — no directory fsync needed.
     durable_rename: bool = False
     #: Every mutating primitive commits durably before returning
@@ -238,8 +232,8 @@ class FaultyFS(StorageFS):
     backend_torn:
         Add the ``append-backend-torn`` injection point to every append
         when the base backend exposes ``simulate_torn_append`` — the
-        backend-shaped mid-append crash (uncommitted sqlite transaction,
-        orphan object-store segment).  Bases without the hook are
+        backend-shaped mid-append crash (an uncommitted sqlite
+        transaction).  Bases without the hook are
         unaffected, so the flag is safe to set unconditionally.
     reorder:
         Track fsync barriers and add ``reorder:`` injection points whose
@@ -249,8 +243,8 @@ class FaultyFS(StorageFS):
         ``durable_writes`` backends, which cannot reorder.
     base:
         The real storage to delegate surviving operations to (defaults
-        to :class:`RealFS`).  Capability probes forward to it, so a
-        ``FaultyFS`` is transparently backend-generic.
+        to :class:`RealFS`).  The ``durable_*`` flags forward to it, so
+        a ``FaultyFS`` is transparently backend-generic.
     """
 
     def __init__(
@@ -283,15 +277,7 @@ class FaultyFS(StorageFS):
         #: path -> bytes at the last fsync barrier (or _ABSENT).
         self._unsynced: dict[str, object] = {}
 
-    # -- capability probes forward to the wrapped backend --------------
-
-    @property
-    def supports_atomic_replace(self) -> bool:  # type: ignore[override]
-        return getattr(self.base, "supports_atomic_replace", True)
-
-    @property
-    def supports_transactions(self) -> bool:  # type: ignore[override]
-        return getattr(self.base, "supports_transactions", False)
+    # -- durability flags forward to the wrapped backend ---------------
 
     @property
     def durable_rename(self) -> bool:  # type: ignore[override]
@@ -300,12 +286,6 @@ class FaultyFS(StorageFS):
     @property
     def durable_writes(self) -> bool:  # type: ignore[override]
         return getattr(self.base, "durable_writes", False)
-
-    def gc(self) -> int:
-        """Forward substrate GC to the wrapped backend (never injected:
-        GC is maintenance the owner runs, not a crash-path primitive)."""
-        collect = getattr(self.base, "gc", None)
-        return collect() if callable(collect) else 0
 
     # -- injection scheduling (thread-safe) ----------------------------
 

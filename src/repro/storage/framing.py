@@ -1,11 +1,8 @@
 """Framed WAL records: checksummed framing, fenced checkpoints, salvage.
 
-The shared durability substrate under :mod:`repro.storage.journal` (the
-schema WAL) and :mod:`repro.storage.durable_store` (the objectbase WAL).
-Before this module existed, both kept private copies of the same
-line-scanning loop and detected torn tails only by JSON parse failure;
-now every record is *structurally* verifiable and both logs read through
-one :func:`read_log`.
+The byte-level substrate under :class:`repro.storage.journal.JournalFile`,
+the one WAL engine: every record is *structurally* verifiable and every
+log reads through one :func:`read_log`.
 
 Record framing
 --------------
@@ -46,9 +43,9 @@ classification:
 
 Checkpoint fencing
 ------------------
-:func:`write_checkpoint` writes ``{"format": 2, "generation": G,
-"state": ...}`` to a temp file, fsyncs it, :func:`os.replace`\\ s it into
-place and fsyncs the directory — atomic on POSIX.  Recovery replays only
+:func:`write_checkpoint` publishes ``{"format": 2, "generation": G,
+"state": ...}`` through :func:`atomic_write_bytes` (temp file, fsync,
+rename, directory fsync) — atomic on POSIX.  Recovery replays only
 WAL records whose generation is at least the checkpoint's; a tail left
 behind by a crash before WAL truncation carries the previous generation
 and is fenced off.  A legacy checkpoint (the bare state dict) reads as
@@ -85,6 +82,7 @@ __all__ = [
     "read_log",
     "fence_records",
     "timed_fsync",
+    "atomic_write_bytes",
     "write_checkpoint",
     "load_checkpoint",
 ]
@@ -181,9 +179,8 @@ class FramedRecord:
     payload: dict
     decoded: Any
     generation: int | None  #: None for legacy unframed records
-    offset: int  #: byte offset of the line start
-    end: int  #: byte offset one past the line (incl. newline)
     lineno: int
+    line: bytes  #: the record's bytes as stored, minus the newline
 
 
 @dataclass(frozen=True)
@@ -338,7 +335,7 @@ def _parse_line(
     return (
         FramedRecord(
             payload=obj, decoded=decoded, generation=generation,
-            offset=-1, end=-1, lineno=lineno,
+            lineno=lineno, line=line,
         ),
         None,
     )
@@ -384,16 +381,7 @@ def scan_log(
                     reason=reason or "unreadable record",
                 )
             else:
-                records.append(
-                    FramedRecord(
-                        payload=record.payload,
-                        decoded=record.decoded,
-                        generation=record.generation,
-                        offset=pos,
-                        end=line_end,
-                        lineno=lineno,
-                    )
-                )
+                records.append(record)
                 valid_end = line_end if terminated else size
                 needs_newline = not terminated
         elif damage is None:
@@ -557,6 +545,42 @@ def fence_records(
     return live, fenced
 
 
+def atomic_write_bytes(
+    fs: StorageFS, path: Path, data: bytes, *, sync: bool = True
+) -> None:
+    """Publish ``data`` at ``path`` atomically: temp file, fsync, rename,
+    fsync the directory.
+
+    A crash at any boundary leaves either the old or the new content
+    fully intact, never a torn hybrid.  A failed write or fsync (disk
+    full, EIO) never touches the destination: the partial temp is
+    removed and a typed :class:`JournalError` raised.  Backends whose
+    rename is durable by itself (``durable_rename``) skip the directory
+    fsync.  Checkpoints and the snapshot savers all publish through
+    here.
+    """
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        fs.write_bytes(tmp, data)
+        if sync:
+            timed_fsync(fs, tmp)
+        fs.replace(tmp, path)
+    except (OSError, JournalError) as exc:
+        try:
+            fs.unlink(tmp)
+        except OSError:
+            pass
+        if isinstance(exc, JournalError):
+            raise
+        raise JournalError(
+            f"publishing {path} failed; the previous version is "
+            f"intact: {exc}"
+        ) from exc
+    if sync and not fs.durable_rename:
+        fs.fsync_dir(path.parent if str(path.parent) else Path("."))
+
+
 def write_checkpoint(
     path: Path,
     state: dict,
@@ -565,41 +589,19 @@ def write_checkpoint(
     fs: StorageFS | None = None,
     sync: bool = True,
 ) -> None:
-    """Atomically publish a checkpoint: temp file, fsync, rename, fsync
-    the directory.  A crash at any boundary leaves either the old or the
-    new checkpoint fully intact, never a torn hybrid."""
-    fs = fs or RealFS()
-    path = Path(path)
+    """Atomically publish a fenced checkpoint document (see
+    :func:`atomic_write_bytes`)."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "generation": generation,
         "state": state,
     }
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    try:
-        fs.write_bytes(tmp, json.dumps(doc, sort_keys=True).encode("utf-8"))
-        if sync:
-            timed_fsync(fs, tmp)
-        fs.replace(tmp, path)
-    except (OSError, JournalError) as exc:
-        # A failed temp write or fsync (disk full, EIO) never touched
-        # the real checkpoint: remove the partial temp so later
-        # recoveries see no residue, and surface a typed error with the
-        # old state intact.
-        try:
-            fs.unlink(tmp)
-        except OSError:
-            pass
-        if isinstance(exc, JournalError):
-            raise
-        raise JournalError(
-            f"checkpoint write to {path} failed; the previous "
-            f"checkpoint is intact: {exc}"
-        ) from exc
-    if sync and not getattr(fs, "durable_rename", False):
-        # Backends whose rename is intrinsically durable (sqlite
-        # transactions, manifest swaps) need no directory fsync.
-        fs.fsync_dir(path.parent if str(path.parent) else Path("."))
+    atomic_write_bytes(
+        fs or RealFS(),
+        path,
+        json.dumps(doc, sort_keys=True).encode("utf-8"),
+        sync=sync,
+    )
 
 
 def load_checkpoint(

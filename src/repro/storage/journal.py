@@ -17,15 +17,23 @@ Durability is governed by a :class:`~repro.storage.framing.DurabilityPolicy`
 thresholds) and recovery by a mode — ``strict`` raises on corruption,
 ``salvage`` quarantines it — both surfaced through
 :meth:`DurableLattice.reopen` and the ``repro recover`` CLI.
+
+:class:`JournalFile` is the only WAL engine in the package and
+:meth:`JournalFile.replay` the only recovery path: the schema store
+(:class:`DurableLattice`), the whole-objectbase store
+(:class:`~repro.storage.durable_store.DurableObjectbase`) and the
+replica (:class:`~repro.replication.replica.ReplicaStore`) differ only
+in their :class:`RecordCodec` and in the applier they hand to it.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import Callable
+from typing import Any, Callable, Generic, TypeVar
 
 from ..core.config import LatticePolicy
 from ..core.errors import JournalError
@@ -37,6 +45,7 @@ from .backend import resolve_storage_url
 from .faults import StorageFS
 from .framing import (
     DurabilityPolicy,
+    FramedRecord,
     SalvageReport,
     encode_frame,
     fence_records,
@@ -48,9 +57,18 @@ from .framing import (
 from .reliability import DegradedLatch, RetryPolicy, append_record
 from .snapshot import lattice_from_dict, lattice_to_dict
 
-__all__ = ["JournalFile", "DurableLattice"]
+__all__ = [
+    "JournalFile",
+    "DurableLattice",
+    "OPERATIONS",
+    "RecordCodec",
+    "Replay",
+    "lattice_from_checkpoint",
+]
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 _WAL_APPENDS = REGISTRY.counter(
     "repro_wal_appends_total", "Operation records appended to the WAL"
@@ -80,25 +98,65 @@ _WAL_AUTO_CHECKPOINTS = REGISTRY.counter(
 )
 
 
+@dataclass(frozen=True)
+class RecordCodec:
+    """What one kind of store keeps in its WAL and its checkpoint.
+
+    Records are written as their ``to_dict()``; ``decode`` turns a
+    verified payload back into the record an applier receives (raising
+    ``ValueError``/``KeyError``/``TypeError`` marks the record corrupt),
+    and ``snapshot`` turns the store's in-memory state into the
+    checkpoint document.
+    """
+
+    decode: Callable[[dict], Any]
+    snapshot: Callable[[Any], Any]
+
+
+#: Schema operations over a lattice checkpoint (the default codec).
+OPERATIONS = RecordCodec(decode=operation_from_dict, snapshot=lattice_to_dict)
+
+
+@dataclass(frozen=True)
+class Replay(Generic[T]):
+    """The outcome of :meth:`JournalFile.replay`."""
+
+    base: T
+    replayed: int
+    report: SalvageReport
+
+
+def lattice_from_checkpoint(
+    state: dict | None, policy: LatticePolicy | None = None
+) -> TypeLattice:
+    """The lattice a checkpoint holds, or an empty one without one."""
+    return lattice_from_dict(state) if state is not None \
+        else TypeLattice(policy)
+
+
 class JournalFile:
-    """An append-only, checksummed operation log with checkpointing."""
+    """An append-only, checksummed record log with checkpointing."""
 
     def __init__(
         self,
         path: str | Path,
         *,
+        codec: RecordCodec = OPERATIONS,
+        checkpoint_path: str | Path | None = None,
         durability: DurabilityPolicy | None = None,
         fs: StorageFS | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
-        # A backend URL (sqlite:…, objstore:…, file:…) resolves to its
-        # backend plus the logical journal path inside it; an explicit
-        # ``fs`` always wins (fault injection, pre-built backends).
+        # A backend URL (sqlite:…, file:…) resolves to its backend plus
+        # the logical journal path inside it; an explicit ``fs`` always
+        # wins (fault injection, pre-built backends).
         target = resolve_storage_url(path, fs=fs)
         self.path = Path(target.path)
-        self.checkpoint_path = self.path.with_suffix(
-            self.path.suffix + ".checkpoint"
+        self.checkpoint_path = (
+            Path(checkpoint_path) if checkpoint_path is not None
+            else self.path.with_suffix(self.path.suffix + ".checkpoint")
         )
+        self.codec = codec
         self.durability = durability or DurabilityPolicy()
         self.fs = target.fs
         self.retry = retry or RetryPolicy()
@@ -109,6 +167,9 @@ class JournalFile:
         #: :class:`~repro.core.errors.LeaseLostError` instead of
         #: extending a history the new primary has diverged from.
         self.fence: Callable[[], None] | None = None
+        #: Records logged since the last checkpoint (interval policy).
+        self.since_checkpoint = 0
+        self._replay_overran = False
         self._generation: int | None = None
         self._tail_checked = False
 
@@ -171,31 +232,31 @@ class JournalFile:
         _WAL_APPENDS.inc()
         _WAL_APPEND_SECONDS.observe(perf_counter() - started)
 
-    def operations(self, mode: str = "strict") -> list[SchemaOperation]:
-        """The live logged operations, in order (read-only).
+    def operations(self, mode: str = "strict") -> list:
+        """The live logged records, decoded, in order (read-only).
 
         Torn trailing writes are tolerated and records fenced off by the
         checkpoint generation are skipped; structural corruption raises
         :class:`~repro.core.errors.CorruptRecordError` in strict mode.
-        A final record that parses but decodes to no valid operation is
+        A final record that parses but decodes to no valid record is
         *schema* corruption, not a torn write, and is treated as corrupt
         no matter where it sits.
         """
         records, _ = read_log(
-            self.path, fs=self.fs, mode=mode, decode=operation_from_dict
+            self.path, fs=self.fs, mode=mode, decode=self.codec.decode
         )
         live, _ = fence_records(records, self.generation)
         return [r.decoded for r in live]
 
-    def repair(self, mode: str = "strict") -> SalvageReport:
-        """Heal the log in place (truncate torn tails; in salvage mode,
-        quarantine corruption into a ``.corrupt`` sidecar).
+    def _heal(self, mode: str) -> tuple[list[FramedRecord], SalvageReport]:
+        """Heal crash residue, then read and fence the log once.
 
-        Also removes a stale checkpoint temp file — residue of a crash
-        (or torn rename) inside a checkpoint publish.  The real
-        checkpoint is authoritative either way; leaving the temp behind
-        would hand backup tooling and future publishes a plausible-
-        looking but unterminated snapshot.
+        Removes a stale checkpoint temp file — residue of a crash (or
+        torn rename) inside a checkpoint publish; the real checkpoint is
+        authoritative either way, and a leftover temp would hand backup
+        tooling a plausible-looking but unterminated snapshot — and
+        repairs the log in place (torn tails truncated; in salvage mode,
+        corruption quarantined into a ``.corrupt`` sidecar).
         """
         stale_tmp = self.checkpoint_path.with_suffix(
             self.checkpoint_path.suffix + ".tmp"
@@ -208,81 +269,141 @@ class JournalFile:
             self.fs.unlink(stale_tmp)
         records, report = read_log(
             self.path, fs=self.fs, mode=mode,
-            decode=operation_from_dict, repair=True,
+            decode=self.codec.decode, repair=True,
         )
-        _, report.records_fenced = fence_records(records, self.generation)
+        self._tail_checked = True
+        live, report.records_fenced = fence_records(records, self.generation)
         if not report.clean:
-            logger.warning("repair(%s): %s", mode, report.summary())
-        return report
+            logger.warning("recovery(%s): %s", mode, report.summary())
+        return live, report
 
-    def checkpoint(self, lattice: TypeLattice) -> None:
-        """Fold the applied operations into an atomic snapshot.
+    def repair(self, mode: str = "strict") -> SalvageReport:
+        """Heal the log in place without replaying it (``repro recover``)."""
+        return self._heal(mode)[1]
+
+    def replay(
+        self,
+        load: Callable[[dict | None], T],
+        apply: Callable[[T, FramedRecord, FramedRecord | None], None],
+        mode: str = "strict",
+    ) -> Replay[T]:
+        """Rebuild a store from its durable files: the one recovery path.
+
+        Loads the checkpoint once (``load(state)`` builds the base from
+        it; ``state`` is ``None`` when there is none), heals crash
+        residue and reads and fences the log once (:meth:`repair`'s
+        work), then hands each live record to
+        ``apply(base, record, following)``.  ``following`` is the next
+        live record (``None`` for the last): one record of lookahead
+        for stores whose logs carry abort markers.
+
+        A replay slower than the policy's ``replay_budget_seconds``
+        makes the next :meth:`auto_checkpoint` fold the tail away.
+        """
+        state, self._generation = load_checkpoint(
+            self.checkpoint_path, fs=self.fs
+        )
+        base = load(state)
+        live, report = self._heal(mode)
+        started = perf_counter()
+        for index, record in enumerate(live, start=1):
+            apply(base, record, live[index] if index < len(live) else None)
+        elapsed = perf_counter() - started
+        replayed = len(live)
+        self.since_checkpoint = replayed
+        budget = self.durability.replay_budget_seconds
+        self._replay_overran = (
+            replayed > 0 and budget is not None and elapsed > budget
+        )
+        if replayed:
+            _WAL_REPLAY_OPS.inc(replayed)
+            _WAL_COALESCED.observe(replayed)
+            _WAL_REPLAY_SECONDS.observe(elapsed)
+            logger.info(
+                "replayed %d WAL record(s) from %s in %.3fs",
+                replayed, self.path, elapsed,
+            )
+        return Replay(base, replayed, report)
+
+    def checkpoint(self, state: Any, *, generation: int | None = None) -> None:
+        """Fold the applied records into an atomic snapshot of ``state``.
 
         The checkpoint is written to a temp file, fsynced, renamed into
         place and the directory fsynced; only then is the WAL truncated.
         Records appended before the checkpoint carry an older generation
         than the one stamped into it, so a crash *between* the rename
         and the truncate cannot double-apply the tail on recovery — the
-        fence skips it.
+        fence skips it.  ``generation`` defaults to the next one; a
+        replica installs its primary's instead.
         """
         if self.fence is not None:
             self.fence()
-        new_generation = self.generation + 1
+        if generation is None:
+            generation = self.generation + 1
         sync = self.durability.sync_checkpoints
         write_checkpoint(
             self.checkpoint_path,
-            lattice_to_dict(lattice),
-            new_generation,
+            self.codec.snapshot(state),
+            generation,
             fs=self.fs,
             sync=sync,
         )
-        self._generation = new_generation
+        self._generation = generation
         self.fs.write_bytes(self.path, b"")
         if sync:
             timed_fsync(self.fs, self.path)
+        self.since_checkpoint = 0
+        self._replay_overran = False
         _WAL_CHECKPOINTS.inc()
         logger.info(
-            "checkpointed %d types to %s (generation %d); WAL truncated",
-            len(lattice), self.checkpoint_path, new_generation,
+            "checkpointed %s (generation %d); WAL truncated",
+            self.checkpoint_path, generation,
         )
+
+    def auto_checkpoint(self, state: Any, written: int = 0) -> None:
+        """Count ``written`` records just logged, then checkpoint
+        ``state`` if the durability policy asks for it.
+
+        Stores call this once after opening (``written=0``) and after
+        every write.  The open-time call acts on a replay that overran
+        ``replay_budget_seconds``; ``checkpoint_every`` is checked only
+        when records were written, so opening alone never writes for it.
+        """
+        self.since_checkpoint += written
+        every = self.durability.checkpoint_every
+        if self._replay_overran:
+            reason = "replay-budget"
+        elif written and every is not None \
+                and self.since_checkpoint >= every:
+            reason = "interval"
+        else:
+            return
+        logger.info(
+            "auto-checkpoint (%s) after %d record(s)",
+            reason, self.since_checkpoint,
+        )
+        self.checkpoint(state)
+        _WAL_AUTO_CHECKPOINTS.labels(reason=reason).inc()
 
     def recover(
         self, policy: LatticePolicy | None = None, mode: str = "strict"
     ) -> TypeLattice:
         """Rebuild the lattice: load the checkpoint (if any), then replay
         the live tail of the log."""
-        state, self._generation = load_checkpoint(
-            self.checkpoint_path, fs=self.fs
-        )
-        lattice = (
-            lattice_from_dict(state) if state is not None
-            else TypeLattice(policy)
-        )
-        for op in self.operations(mode):
-            op.apply(lattice)
-        return lattice
+        return self.replay(
+            lambda state: lattice_from_checkpoint(state, policy),
+            lambda lattice, record, _following: record.decoded.apply(lattice),
+            mode,
+        ).base
 
     def sync(self) -> None:
         """Force the appended records to stable storage (batch policy)."""
         if self.fs.exists(self.path):
             timed_fsync(self.fs, self.path)
 
-    def gc(self) -> int:
-        """Sweep backend garbage (orphan object-store segments, stale
-        temp residue); returns the number of objects removed.
 
-        Backends without substrate garbage report zero.  Call only with
-        exclusive write access established — the fenced primary after
-        acquiring its lease, or ``repro recover`` — never from a
-        read-only or pre-fence open (see ``docs/storage.md``).
-        """
-        collect = getattr(self.fs, "gc", None)
-        return collect() if callable(collect) else 0
-
-    def clear(self) -> None:
-        self.fs.unlink(self.path)
-        self.fs.unlink(self.checkpoint_path)
-        self._generation = 0
+def _replay_operation(journal: EvolutionJournal, record, _following) -> None:
+    journal.apply(record.decoded)
 
 
 class DurableLattice:
@@ -296,6 +417,8 @@ class DurableLattice:
     touching a derived term, so the lattice's invalidations coalesce in
     its dirty set and the first post-open query pays a single derivation
     pass — reopening a database costs O(plan), not O(plan × schema).
+    The tail is replayed *through* the in-memory journal so history (and
+    undo) survive a restart.
 
     ``durability`` selects the fsync/auto-checkpoint policy and
     ``recovery`` the damage response (``"strict"`` raises on corruption,
@@ -323,43 +446,16 @@ class DurableLattice:
         self.file = JournalFile(
             path, durability=durability, fs=fs, retry=retry
         )
-        # Opening is the mutating entry point, so heal crash residue now
-        # (a torn tail must not swallow the next append).
-        self.recovery_report = self.file.repair(recovery)
-        state, generation = load_checkpoint(
-            self.file.checkpoint_path, fs=self.file.fs
+        replay = self.file.replay(
+            lambda state: EvolutionJournal(
+                lattice=lattice_from_checkpoint(state, policy)
+            ),
+            _replay_operation,
+            recovery,
         )
-        self.file._generation = generation
-        base = (
-            lattice_from_dict(state) if state is not None
-            else TypeLattice(policy)
-        )
-        # Replay the WAL tail *through* the in-memory journal so history
-        # (and undo) survive a restart.
-        self.journal = EvolutionJournal(lattice=base)
-        started = perf_counter()
-        replayed = 0
-        for op in self.file.operations(recovery):
-            self.journal.apply(op)
-            replayed += 1
-        elapsed = perf_counter() - started
-        self._since_checkpoint = replayed
-        if replayed:
-            _WAL_REPLAY_OPS.inc(replayed)
-            _WAL_COALESCED.observe(replayed)
-            _WAL_REPLAY_SECONDS.observe(elapsed)
-            logger.info(
-                "replayed %d WAL operation(s) from %s (coalesced into one "
-                "deferred derivation pass)", replayed, self.file.path,
-            )
-        budget = self.file.durability.replay_budget_seconds
-        if replayed and budget is not None and elapsed > budget:
-            logger.info(
-                "replay took %.3fs (budget %.3fs): auto-checkpointing",
-                elapsed, budget,
-            )
-            self.checkpoint()
-            _WAL_AUTO_CHECKPOINTS.labels(reason="replay-budget").inc()
+        self.journal = replay.base
+        self.recovery_report = replay.report
+        self.file.auto_checkpoint(self.lattice)
 
     @property
     def lattice(self) -> TypeLattice:
@@ -378,8 +474,7 @@ class DurableLattice:
         operation.validate(self.lattice)
         self.file.append(operation)
         result = self.journal.apply(operation)
-        self._since_checkpoint += 1
-        self._maybe_auto_checkpoint()
+        self.file.auto_checkpoint(self.lattice, 1)
         return result
 
     def apply_all(self, operations):
@@ -396,36 +491,19 @@ class DurableLattice:
         """
         if not len(self.journal):
             raise JournalError("nothing to undo")
-        entry = self.journal.entries[-1]
-        for op in entry.inverse:
+        inverse = self.journal.entries[-1].inverse
+        for op in inverse:
             self.file.append(op)
-            self._since_checkpoint += 1
         result = self.journal.undo()
-        self._maybe_auto_checkpoint()
+        self.file.auto_checkpoint(self.lattice, len(inverse))
         return result
-
-    def _maybe_auto_checkpoint(self) -> None:
-        every = self.file.durability.checkpoint_every
-        if every is not None and self._since_checkpoint >= every:
-            logger.info(
-                "auto-checkpoint after %d record(s) (policy: every %d)",
-                self._since_checkpoint, every,
-            )
-            self.checkpoint()
-            _WAL_AUTO_CHECKPOINTS.labels(reason="interval").inc()
 
     def checkpoint(self) -> None:
         self.file.checkpoint(self.lattice)
-        self._since_checkpoint = 0
 
     def sync(self) -> None:
         """Flush appended records to disk (the batch-policy commit point)."""
         self.file.sync()
-
-    def gc(self) -> int:
-        """Sweep backend garbage; exclusive-writer-only (see
-        :meth:`JournalFile.gc`)."""
-        return self.file.gc()
 
     @classmethod
     def reopen(

@@ -26,8 +26,8 @@ from ..tigukat.functions import Function, FunctionKind
 from ..tigukat.objects import TigukatObject
 from ..tigukat.primitive import PRIMITIVE_TYPE_BEHAVIORS
 from ..tigukat.store import Objectbase
-from .backend import atomic_write_bytes
 from .faults import RealFS, StorageFS
+from .framing import atomic_write_bytes
 from .snapshot import FORMAT_VERSION, lattice_from_dict, lattice_to_dict
 
 __all__ = ["objectbase_to_dict", "objectbase_from_dict",

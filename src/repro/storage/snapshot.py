@@ -18,8 +18,8 @@ from ..core.config import EssentialityDefault, LatticePolicy
 from ..core.errors import JournalError
 from ..core.lattice import TypeLattice
 from ..core.properties import Property
-from .backend import atomic_write_bytes
 from .faults import RealFS, StorageFS
+from .framing import atomic_write_bytes
 
 __all__ = [
     "lattice_to_dict",

@@ -11,8 +11,7 @@ Semantics the durability layer leans on:
 
 * **real transactional rename** — ``replace`` re-keys the source rows
   and deletes the destination inside one ``BEGIN IMMEDIATE``
-  transaction; a crash leaves either the old or the new binding
-  (``supports_atomic_replace`` *and* ``supports_transactions``).
+  transaction; a crash leaves either the old or the new binding.
 * **durable commits** — ``PRAGMA synchronous=FULL``: every commit is on
   stable storage before it returns, so ``fsync_file``/``fsync_dir`` are
   no-ops and ``durable_rename``/``durable_writes`` are true.  The
@@ -72,9 +71,6 @@ _NEXT_SEQ = "(SELECT COALESCE(MAX(seq), -1) + 1 FROM frames WHERE path = ?)"
 class SqliteBackend(StorageBackend):
     """Logical byte streams inside one sqlite database file."""
 
-    scheme = "sqlite"
-    supports_atomic_replace = True
-    supports_transactions = True
     durable_rename = True
     durable_writes = True
 
@@ -137,8 +133,7 @@ class SqliteBackend(StorageBackend):
 
     @contextmanager
     def transaction(self):
-        """One atomic unit over the primitives (``supports_transactions``
-        is probed by attempting exactly this)."""
+        """One atomic unit over the primitives."""
         with self._lock:
             if self._closed:
                 raise OSError(

@@ -1,8 +1,8 @@
 """Backend-parametrized conformance harness for the storage suites.
 
 Every test that takes the ``backend`` fixture runs once per storage
-backend (``file``, ``sqlite``, ``objstore``) — the crash matrix and the
-recovery-mode suites are *conformance suites*: one body, three
+backend (``file``, ``sqlite``) — the crash matrix and the
+recovery-mode suites are *conformance suites*: one body, two
 substrates.  ``REPRO_BACKENDS=sqlite`` (comma-separated) narrows the
 sweep, which is how the CI backend matrix fans the suites out across
 jobs without duplicating test code.
@@ -10,8 +10,8 @@ jobs without duplicating test code.
 The harness models a machine, not a process: :meth:`BackendHarness.fresh`
 hands out a **new backend instance over the same substrate**, which is
 what surviving a crash means — the process state (connections, caches)
-is gone, the durable substrate (directory, sqlite database file, object
-store root) is all that remains.  Tests therefore run workloads against
+is gone, the durable substrate (directory, sqlite database file) is all
+that remains.  Tests therefore run workloads against
 ``harness.faulty(...)`` and recover with ``harness.fresh()``.
 """
 
@@ -19,14 +19,9 @@ import os
 
 import pytest
 
-from repro.storage import (
-    FaultyFS,
-    FileBackend,
-    ObjectStoreBackend,
-    SqliteBackend,
-)
+from repro.storage import FaultyFS, FileBackend, SqliteBackend
 
-ALL_BACKENDS = ("file", "sqlite", "objstore")
+ALL_BACKENDS = ("file", "sqlite")
 
 
 def _selected() -> list[str]:
@@ -55,20 +50,18 @@ class BackendHarness:
         """A new backend instance over the same substrate (a restart).
 
         Recovery code must never reuse the crashed process's instance:
-        its in-memory state (sqlite connection, cached manifest) died
-        with the "power failure".
+        its in-memory state (the sqlite connection) died with the
+        "power failure".
         """
         if self.name == "file":
             backend = FileBackend()
-        elif self.name == "sqlite":
+        else:
             # synchronous=NORMAL: simulated crashes never kill the real
             # process, so commit-ordering (which NORMAL preserves) is
             # all the matrix needs — FULL would only slow the sweep.
             backend = SqliteBackend(
                 self.root / "store.sqlite", synchronous="NORMAL"
             )
-        else:
-            backend = ObjectStoreBackend(self.root / "objstore")
         self._instances.append(backend)
         return backend
 

@@ -2,9 +2,8 @@
 
 The crash matrix (``test_crash_matrix.py``) proves the backends honor
 the recovery contract; this file covers the seams around it: URL
-resolution, capability probes, the byte-stream conformance of each
-primitive, sqlite's busy-retry mapping and transactional rename, and
-the object store's orphan-segment GC.
+resolution, the durability flags, the byte-stream conformance of each
+primitive, and sqlite's busy-retry mapping and transactional rename.
 """
 
 import errno
@@ -15,13 +14,9 @@ import pytest
 from repro.core.errors import JournalError
 from repro.storage import (
     FileBackend,
-    ObjectStoreBackend,
     RealFS,
     SqliteBackend,
-    StorageBackend,
     atomic_write_bytes,
-    backend_schemes,
-    register_backend,
     resolve_storage_url,
     storage_physical_path,
 )
@@ -52,12 +47,6 @@ class TestResolveStorageUrl:
         assert target.physical == tmp_path / "store.sqlite"
         target.fs.close()
 
-    def test_objstore_scheme(self, tmp_path):
-        target = resolve_storage_url(f"objstore:{tmp_path}/store")
-        assert isinstance(target.fs, ObjectStoreBackend)
-        assert str(target.path) == "wal"
-        assert target.physical == tmp_path / "store"
-
     def test_unknown_scheme_is_a_typed_error(self):
         with pytest.raises(JournalError, match="unknown storage backend"):
             resolve_storage_url("redis://localhost/0")
@@ -74,26 +63,6 @@ class TestResolveStorageUrl:
         assert target.fs is fs
         assert target.path == tmp_path / "wal"
 
-    def test_registry_is_extensible(self, tmp_path):
-        class NullBackend(FileBackend):
-            scheme = "null"
-
-        def factory(rest, raw):
-            from repro.storage.backend import StorageTarget
-            return StorageTarget(
-                fs=NullBackend(), path=tmp_path / rest,
-                physical=tmp_path / rest, url=raw,
-            )
-
-        register_backend("null", factory)
-        try:
-            assert "null" in backend_schemes()
-            target = resolve_storage_url("null:wal")
-            assert isinstance(target.fs, NullBackend)
-        finally:
-            from repro.storage.backend import _FACTORIES
-            _FACTORIES.pop("null", None)
-
 
 class TestStoragePhysicalPath:
     """The side-effect-free anchor resolver (lease placement runs this
@@ -109,17 +78,12 @@ class TestStoragePhysicalPath:
             storage_physical_path(f"sqlite:{tmp_path}/store.sqlite")
             == tmp_path / "store.sqlite"
         )
-        assert (
-            storage_physical_path(f"objstore:{tmp_path}/store")
-            == tmp_path / "store"
-        )
 
     def test_resolution_is_pure(self, tmp_path):
-        """No database created, no object-store root initialised — a
-        failover candidate anchoring its lease must not mutate a store
-        it does not own (resolve_storage_url would create both)."""
+        """No database created — a failover candidate anchoring its
+        lease must not mutate a store it does not own
+        (resolve_storage_url would create it)."""
         storage_physical_path(f"sqlite:{tmp_path}/sub/store.sqlite")
-        storage_physical_path(f"objstore:{tmp_path}/sub/store")
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_scheme_is_a_typed_error(self):
@@ -133,29 +97,14 @@ class TestStoragePhysicalPath:
 class TestCapabilityProbes:
     def test_file_backend(self):
         fs = FileBackend()
-        assert fs.supports_atomic_replace
-        assert not fs.supports_transactions
         assert not fs.durable_rename
         assert not fs.durable_writes
 
     def test_sqlite_backend(self, tmp_path):
         fs = SqliteBackend(tmp_path / "db")
-        assert fs.supports_atomic_replace
-        assert fs.supports_transactions
         assert fs.durable_rename
         assert fs.durable_writes
         fs.close()
-
-    def test_objstore_backend(self, tmp_path):
-        fs = ObjectStoreBackend(tmp_path / "store")
-        assert fs.supports_atomic_replace
-        assert not fs.supports_transactions
-        assert fs.durable_rename
-        assert fs.durable_writes
-
-    def test_base_class_defaults(self):
-        assert StorageBackend.supports_atomic_replace
-        assert not StorageBackend.supports_transactions
 
 
 class TestPrimitiveConformance:
@@ -339,132 +288,3 @@ class TestSqliteBackend:
         fs.append_bytes(path, b"after\n")
         assert fs.read_bytes(path) == b"after\n"
         fs.close()
-
-
-class TestObjectStoreBackend:
-    def test_segments_are_content_addressed_and_shared(self, tmp_path):
-        fs = ObjectStoreBackend(tmp_path / "store")
-        fs.write_bytes(tmp_path / "a", b"same bytes")
-        fs.write_bytes(tmp_path / "b", b"same bytes")
-        segments = [
-            p for p in (tmp_path / "store" / "segments").iterdir()
-            if p.suffix == ".seg"
-        ]
-        assert len(segments) == 1  # deduplicated by content hash
-
-    def test_orphan_segments_are_collected_by_owner_gc(self, tmp_path):
-        fs = ObjectStoreBackend(tmp_path / "store")
-        fs.append_bytes(tmp_path / "wal", b"live\n")
-        # A manifest-swap crash: segment written, pointer never swapped.
-        fs.simulate_torn_append(tmp_path / "wal", b"orphan\n")
-        segments_dir = tmp_path / "store" / "segments"
-        before = {p.name for p in segments_dir.iterdir()}
-        assert len(before) == 2
-        # The next exclusive owner opts into the sweep (grace=0: the
-        # "residue" is seconds old in this test, hours old in life).
-        restarted = ObjectStoreBackend(
-            tmp_path / "store", gc_on_open=True, gc_grace=0.0
-        )
-        assert restarted.gc_removed == 1
-        assert restarted.read_bytes(tmp_path / "wal") == b"live\n"
-        after = {p.name for p in segments_dir.iterdir()}
-        assert len(after) == 1 and after < before
-
-    def test_plain_open_never_collects(self, tmp_path):
-        """Merely resolving the store (a replica, a pre-lease failover
-        candidate) must not delete anything — another process's
-        unpublished segment is indistinguishable from an orphan."""
-        fs = ObjectStoreBackend(tmp_path / "store")
-        fs.append_bytes(tmp_path / "wal", b"live\n")
-        fs.simulate_torn_append(tmp_path / "wal", b"in-flight\n")
-        segments_dir = tmp_path / "store" / "segments"
-        before = {p.name for p in segments_dir.iterdir()}
-        reader = ObjectStoreBackend(tmp_path / "store")
-        assert reader.gc_removed == 0
-        assert {p.name for p in segments_dir.iterdir()} == before
-
-    def test_gc_grace_spares_fresh_orphans(self, tmp_path):
-        """Within the grace period an unreferenced segment may be a live
-        writer's append caught between segment write and manifest swap;
-        GC must leave it alone."""
-        fs = ObjectStoreBackend(tmp_path / "store")
-        fs.append_bytes(tmp_path / "wal", b"live\n")
-        fs.simulate_torn_append(tmp_path / "wal", b"in-flight\n")
-        assert fs.gc(grace=3600.0) == 0
-        assert fs.gc(grace=0.0) == 1
-
-    def test_gc_spares_referenced_segments(self, tmp_path):
-        fs = ObjectStoreBackend(tmp_path / "store")
-        fs.append_bytes(tmp_path / "a", b"alpha\n")
-        fs.append_bytes(tmp_path / "b", b"beta\n")
-        restarted = ObjectStoreBackend(
-            tmp_path / "store", gc_on_open=True, gc_grace=0.0
-        )
-        assert restarted.gc_removed == 0
-        assert restarted.read_bytes(tmp_path / "a") == b"alpha\n"
-        assert restarted.read_bytes(tmp_path / "b") == b"beta\n"
-
-    def test_gc_sweeps_tmp_residue(self, tmp_path):
-        fs = ObjectStoreBackend(tmp_path / "store")
-        fs.write_bytes(tmp_path / "a", b"data")
-        junk = tmp_path / "store" / "segments" / "deadbeef.seg.tmp"
-        junk.write_bytes(b"partial segment write")
-        # In-flight tmp files are protected by the grace period...
-        assert fs.gc(grace=3600.0) == 0
-        assert junk.exists()
-        # ...and collected once they are stale residue.
-        restarted = ObjectStoreBackend(
-            tmp_path / "store", gc_on_open=True, gc_grace=0.0
-        )
-        assert restarted.gc_removed == 1
-        assert not junk.exists()
-
-    def test_manifest_coherent_across_instances(self, tmp_path):
-        """Two live instances over one root (primary + replication
-        source): writes through one are immediately visible through the
-        other, because the manifest is re-read from disk per op."""
-        writer = ObjectStoreBackend(tmp_path / "store")
-        reader = ObjectStoreBackend(tmp_path / "store")
-        writer.append_bytes(tmp_path / "wal", b"one\n")
-        assert reader.read_bytes(tmp_path / "wal") == b"one\n"
-        writer.append_bytes(tmp_path / "wal", b"two\n")
-        assert reader.size(tmp_path / "wal") == 8
-
-    def test_missing_referenced_segment_is_loud(self, tmp_path):
-        fs = ObjectStoreBackend(tmp_path / "store")
-        fs.write_bytes(tmp_path / "a", b"payload")
-        for seg in (tmp_path / "store" / "segments").iterdir():
-            seg.unlink()
-        with pytest.raises(OSError, match="corrupt"):
-            fs.read_bytes(tmp_path / "a")
-
-
-class TestOwnerStorageGc:
-    """The exclusive-owner sweep plumbed through the public surfaces
-    (``Objectbase.storage_gc`` — what the fenced primary and ``repro
-    recover`` call)."""
-
-    def test_facade_gc_sweeps_aged_orphans(self, tmp_path):
-        import os
-
-        from repro.api import Objectbase
-
-        url = f"objstore:{tmp_path}/store"
-        ob = Objectbase.open(url)
-        ob.add_type("T_person", properties=["person.name"])
-        # Crash residue from a dead predecessor, aged past the grace.
-        orphan = tmp_path / "store" / "segments" / ("0" * 64 + ".seg")
-        orphan.write_bytes(b"orphaned segment")
-        old = os.path.getmtime(orphan) - 3600
-        os.utime(orphan, (old, old))
-        assert ob.storage_gc() == 1
-        assert not orphan.exists()
-        # Live data is untouched and the store keeps working.
-        reopened = Objectbase.open(url)
-        assert "T_person" in reopened
-
-    def test_facade_gc_is_zero_for_gc_free_backends(self, tmp_path):
-        from repro.api import Objectbase
-
-        assert Objectbase.open(str(tmp_path / "wal")).storage_gc() == 0
-        assert Objectbase.in_memory().storage_gc() == 0

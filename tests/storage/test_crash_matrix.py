@@ -14,18 +14,18 @@ recovered state must be *prefix-consistent*:
   exactly what checkpoint generation fencing prevents).
 
 Every test takes the ``backend`` fixture (see ``conftest.py``), so the
-whole matrix runs verbatim against the plain-file, sqlite, and
-object-store backends — one suite, three substrates.  The matrix also
-covers the backend-shaped fault classes: torn renames, a
-mid-transaction sqlite crash (the partial commit must be invisible),
-an object-store manifest-swap crash (the orphan segment must be
-collected), and write reordering before an fsync barrier.
+whole matrix runs verbatim against the plain-file and sqlite backends —
+one suite, two substrates.  The matrix also covers the backend-shaped
+fault classes: torn renames, a mid-transaction sqlite crash (the
+partial commit must be invisible), and write reordering before an
+fsync barrier.
 """
 
 import threading
 
 import pytest
 
+from repro.concurrent import SchemaSnapshot
 from repro.core import (
     AddEssentialProperty,
     AddEssentialSupertype,
@@ -33,10 +33,14 @@ from repro.core import (
     prop,
 )
 from repro.core.lattice import TypeLattice
+from repro.core.operations import operation_from_dict
+from repro.replication import ReplicaStore, ReplicationSource
+from repro.replication.protocol import Position
 from repro.storage.durable_store import DurableObjectbase
 from repro.storage.faults import CrashPoint
-from repro.storage.framing import DurabilityPolicy
+from repro.storage.framing import DurabilityPolicy, frame_payload
 from repro.storage.journal import DurableLattice, JournalFile
+from repro.storage.snapshot import lattice_from_dict
 from repro.tigukat.evolution import SchemaManager
 from repro.tigukat.store import Objectbase
 
@@ -210,6 +214,85 @@ class TestDurableObjectbaseCrashMatrix:
                 scenario["dir"], recovery=mode, fs=backend.fresh()
             )
             return durable.store.lattice.state_fingerprint()
+
+        scenarios = drive_matrix(backend.faulty, workload, recover, prefixes)
+        assert scenarios > 10
+
+
+def published(snapshot: SchemaSnapshot) -> frozenset:
+    """What a replica's readers see: every type's Pe and Ne."""
+    return frozenset(
+        (name, snapshot.pe(name), snapshot.ne(name))
+        for name in snapshot.types()
+    )
+
+
+def replica_prefixes(history, state) -> dict[tuple, int]:
+    """(published schema, position, tail CRC) -> the number of shipped
+    units it reflects: 0 before the checkpoint landed, then 1 + k for
+    the checkpoint plus the first k records."""
+    empty = SchemaSnapshot.capture(TypeLattice(None))
+    prefixes = {(published(empty), Position(0, 0), 0): 0}
+    lattice = lattice_from_dict(state)
+    for k in range(len(history.frames) + 1):
+        if k:
+            frame = history.frames[k - 1]
+            operation_from_dict(frame_payload(frame)).apply(lattice)
+        key = (
+            published(SchemaSnapshot.capture(lattice)),
+            Position(history.generation, k),
+            ReplicationSource.prefix_crc(history, k),
+        )
+        prefixes[key] = 1 + k
+    return prefixes
+
+
+class TestReplicaStoreCrashMatrix:
+    """Storage crashes on the replica's own files.
+
+    The replica installs a shipped checkpoint, then durably appends the
+    shipped frames in batches.  After a crash at any boundary a reload
+    must land on a committed prefix of the primary's history, at the
+    position and with the prefix CRC the primary accepts at handshake.
+    """
+
+    def test_install_and_apply_matrix(self, backend, tmp_path):
+        primary = DurableLattice(tmp_path / "primary.wal", durability=ALWAYS)
+        primary.apply_all(SCRIPT[:2])
+        primary.checkpoint()
+        primary.apply_all(SCRIPT[2:])
+        source = ReplicationSource(tmp_path / "primary.wal")
+        history = source.state()
+        state, generation = source.checkpoint_state()
+        frames = [frame.decode("utf-8") for frame in history.frames]
+        prefixes = replica_prefixes(history, state)
+        scenario = {"n": 0}
+
+        def workload(fs):
+            scenario["n"] += 1
+            directory = tmp_path / f"replica-{scenario['n']}"
+            directory.mkdir()
+            scenario["dir"] = directory
+            fs.acknowledged = 0
+            replica = ReplicaStore(
+                directory / "r.wal", durability=ALWAYS, fs=fs
+            )
+            replica.install_checkpoint(state, generation)
+            fs.acknowledged = 1
+            for start, stop in ((0, 2), (2, len(frames))):
+                replica.apply_records(generation, start, frames[start:stop])
+                fs.acknowledged = 1 + stop
+            return fs.acknowledged
+
+        def recover(_mode):
+            replica = ReplicaStore(
+                scenario["dir"] / "r.wal", fs=backend.fresh()
+            )
+            return (
+                published(replica.snapshot),
+                replica.position,
+                replica.tail_crc,
+            )
 
         scenarios = drive_matrix(backend.faulty, workload, recover, prefixes)
         assert scenarios > 10
@@ -420,12 +503,10 @@ class TestBackendTornAppendMatrix:
     With ``backend_torn=True`` every append gains an extra point whose
     partial effect is the backend's own nastiest crash state: sqlite
     crashes mid-transaction (the half-committed frame must be invisible
-    after restart — sqlite's rollback journal guarantees it), the
-    object store writes the segment but crashes before the manifest
-    pointer swap (the orphan segment must not surface and must be
-    collected by the next owner's GC sweep).  The plain-file backend has no
-    such state, so the flag is inert there and the matrix degenerates
-    to the base one — which is exactly the conformance claim.
+    after restart — sqlite's rollback journal guarantees it).  The
+    plain-file backend has no such state, so the flag is inert there
+    and the matrix degenerates to the base one — which is exactly the
+    conformance claim.
     """
 
     def test_mid_transaction_crash_matrix(self, backend, tmp_path):

@@ -476,7 +476,7 @@ class TestRecoverCommand:
 class TestBackendUrls:
     """The --db flag accepts backend URLs (see docs/storage.md)."""
 
-    @pytest.mark.parametrize("scheme", ["sqlite", "objstore"])
+    @pytest.mark.parametrize("scheme", ["sqlite"])
     def test_lifecycle_through_backend_url(self, tmp_path, scheme, capsys):
         url = f"{scheme}:{tmp_path}/store"
         assert run(url, "add-type", "T_person", "-p", "person.name") == 0
@@ -487,7 +487,7 @@ class TestBackendUrls:
         assert "T_student" in out
         assert run(url, "check") == 0
 
-    @pytest.mark.parametrize("scheme", ["sqlite", "objstore"])
+    @pytest.mark.parametrize("scheme", ["sqlite"])
     def test_recover_through_backend_url(self, tmp_path, scheme, capsys):
         url = f"{scheme}:{tmp_path}/store"
         run(url, "add-type", "T_a")
