@@ -131,7 +131,7 @@ class ReplicationSource:
             frames = tuple(
                 r.line + b"\n"
                 for r in scan.records
-                if r.generation is None or r.generation >= generation
+                if r.generation >= generation
             )
             self._cache = SourceState(generation=generation, frames=frames)
             self._cache_key = key

@@ -65,7 +65,7 @@ from ..storage.framing import (
     frame_payload,
     timed_fsync,
 )
-from ..storage.journal import JournalFile, RecordCodec, lattice_from_checkpoint
+from ..storage.journal import JournalFile, lattice_from_checkpoint
 from ..storage.reliability import RetryPolicy
 from .channel import Channel, ChannelClosed
 from .protocol import PROTOCOL_VERSION, Position
@@ -103,11 +103,6 @@ _DIVERGENCES = REGISTRY.counter(
     "Shipped records the replica could not apply (forced full resync)",
 )
 
-#: Operation records over the primary's shipped checkpoint documents,
-#: which are installed verbatim.
-_SHIPPED = RecordCodec(decode=operation_from_dict, snapshot=lambda state: state)
-
-
 class ReplicaStore:
     """The replica's durable state + published read snapshot.
 
@@ -127,9 +122,7 @@ class ReplicaStore:
         fs: StorageFS | None = None,
     ) -> None:
         # Replicas mirror into any backend too (same URL forms).
-        self.wal = JournalFile(
-            path, codec=_SHIPPED, durability=durability, fs=fs
-        )
+        self.wal = JournalFile(path, durability=durability, fs=fs)
         self.path = self.wal.path
         self.policy = policy
         self.durability = self.wal.durability
@@ -187,9 +180,7 @@ class ReplicaStore:
         with self._mutex:
             crc = 0
 
-            def apply(
-                lattice: TypeLattice, record: FramedRecord, _following
-            ) -> None:
+            def apply(lattice: TypeLattice, record: FramedRecord) -> None:
                 nonlocal crc
                 record.decoded.apply(lattice)
                 crc = _crc32(record.line + b"\n", crc)

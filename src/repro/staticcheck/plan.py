@@ -9,11 +9,11 @@ shapes are accepted, auto-detected by :func:`load_plan`:
 * a bare JSON array ``[op, ...]``;
 * JSON lines, one operation per line — compatible with a WAL journal
   file, so an existing journal *is* a valid plan (analyze yesterday's
-  migration against today's schema).  Checksummed framed WAL lines
-  (``#W1 ...``, see :mod:`repro.storage.framing`) and legacy bare-JSONL
-  lines both parse, and a torn trailing write (an unterminated final
-  line — a live WAL's normal crash residue) is skipped rather than
-  rejected.
+  migration against today's schema).  WAL files are always framed
+  (``#W1 ...``, see :mod:`repro.storage.framing`); plan files may mix
+  framed lines with bare JSON lines, so hand-written ``.jsonl`` plans
+  keep working.  A torn trailing write (an unterminated final line — a
+  live WAL's normal crash residue) is skipped rather than rejected.
 
 :func:`plan_from_journal` loads through
 :class:`repro.storage.journal.JournalFile` instead, inheriting its
@@ -265,7 +265,7 @@ def load_plan(path: str | Path) -> EvolutionPlan:
                 fmt="array",
             )
 
-    # JSON lines (the WAL journal format, framed or legacy).
+    # JSON lines: framed WAL lines or hand-written bare JSON.
     lines = text.splitlines()
     records = []
     line_numbers: list[int] = []

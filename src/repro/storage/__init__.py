@@ -15,16 +15,9 @@ from .backend import (
     resolve_storage_url,
     storage_physical_path,
 )
-from .durable_store import DurableObjectbase
 from .faults import CrashPoint, FaultyFS, RealFS, StorageFS
 from .framing import DurabilityPolicy, SalvageReport, atomic_write_bytes
 from .sqlite_backend import SqliteBackend
-from .objectbase_snapshot import (
-    load_objectbase,
-    objectbase_from_dict,
-    objectbase_to_dict,
-    save_objectbase,
-)
 from .snapshot import (
     lattice_from_dict,
     lattice_to_dict,
@@ -33,7 +26,6 @@ from .snapshot import (
 )
 
 __all__ = [
-    "DurableObjectbase",
     "DurabilityPolicy",
     "SalvageReport",
     "CrashPoint",
@@ -47,10 +39,6 @@ __all__ = [
     "atomic_write_bytes",
     "resolve_storage_url",
     "storage_physical_path",
-    "objectbase_to_dict",
-    "objectbase_from_dict",
-    "save_objectbase",
-    "load_objectbase",
     "lattice_to_dict",
     "lattice_from_dict",
     "save_lattice",

@@ -18,10 +18,8 @@ A framed record is one text line::
 * ``crc32`` — CRC-32 of the payload bytes, eight hex digits;
 * ``payload`` — one compact JSON object (never containing a newline).
 
-Legacy WALs (bare JSONL, every line starting ``{``) read transparently:
-a line that does not start with ``#W`` is parsed as an unframed record
-with unknown generation, which is always replayed — exactly the
-pre-framing semantics, so old journals recover identically.
+Every WAL line is framed: a line that does not start with ``#W`` is
+damage like any other failed check (see below).
 
 Damage taxonomy
 ---------------
@@ -30,10 +28,12 @@ Records are written whole-line; a crash mid-append therefore leaves an
 classification:
 
 * **torn** — the final line lacks its newline and fails structural
-  checks: crash residue, silently truncated by recovery (both modes).
+  checks (including a missing or partial frame tag): crash residue,
+  silently truncated by recovery (both modes).
 * **corrupt** — a newline-terminated line fails its checks (bit flip,
-  interior truncation), or any line's payload passes its checksum but
-  fails semantic decoding (``decode`` raised): never crash residue.
+  interior truncation, no frame tag), or any line's payload passes its
+  checksum but fails semantic decoding (``decode`` raised): never crash
+  residue.
   Strict mode raises :class:`~repro.core.errors.CorruptRecordError`;
   salvage mode truncates the log to the last valid record and
   quarantines the damaged suffix into a ``.corrupt`` sidecar.
@@ -48,8 +48,8 @@ Checkpoint fencing
 rename, directory fsync) — atomic on POSIX.  Recovery replays only
 WAL records whose generation is at least the checkpoint's; a tail left
 behind by a crash before WAL truncation carries the previous generation
-and is fenced off.  A legacy checkpoint (the bare state dict) reads as
-generation 0.
+and is fenced off.  :func:`load_checkpoint` accepts nothing but that
+envelope; any other document is corrupt.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ class FramedRecord:
 
     payload: dict
     decoded: Any
-    generation: int | None  #: None for legacy unframed records
+    generation: int
     lineno: int
     line: bytes  #: the record's bytes as stored, minus the newline
 
@@ -291,39 +291,35 @@ def _parse_line(
     verified but ``decode`` rejected it) are prefixed ``"semantic: "``
     so the caller can classify them as corruption even on a torn line.
     """
-    generation: int | None = None
-    if line.startswith(FRAME_MAGIC):
-        parts = line.split(b" ", 4)
-        if len(parts) != 5:
-            return None, "incomplete frame header"
-        if parts[0] != _FRAME_TAG:
-            return None, f"unsupported frame version {parts[0][2:]!r}"
-        try:
-            generation = int(parts[1])
-            length = int(parts[2])
-            crc = int(parts[3], 16)
-        except ValueError:
-            return None, "unparseable frame header"
-        payload = parts[4]
-        if len(payload) != length:
-            _CRC_FAILURES.inc()
-            return None, (
-                f"length mismatch: header says {length}, "
-                f"line carries {len(payload)}"
-            )
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            _CRC_FAILURES.inc()
-            return None, f"checksum mismatch (expected {crc:08x})"
-    else:
-        payload = line
+    if not line.startswith(FRAME_MAGIC):
+        return None, "not a framed record (no #W frame tag)"
+    parts = line.split(b" ", 4)
+    if len(parts) != 5:
+        return None, "incomplete frame header"
+    if parts[0] != _FRAME_TAG:
+        return None, f"unsupported frame version {parts[0][2:]!r}"
+    try:
+        generation = int(parts[1])
+        length = int(parts[2])
+        crc = int(parts[3], 16)
+    except ValueError:
+        return None, "unparseable frame header"
+    payload = parts[4]
+    if len(payload) != length:
+        _CRC_FAILURES.inc()
+        return None, (
+            f"length mismatch: header says {length}, "
+            f"line carries {len(payload)}"
+        )
+    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+        _CRC_FAILURES.inc()
+        return None, f"checksum mismatch (expected {crc:08x})"
     try:
         obj = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        if generation is not None:
-            # The checksum passed but the payload is not JSON: the
-            # writer itself misbehaved — semantic, not torn.
-            return None, f"semantic: checksummed payload is not JSON: {exc}"
-        return None, f"not JSON: {exc}"
+        # The checksum passed but the payload is not JSON: the writer
+        # itself misbehaved — semantic, not torn.
+        return None, f"semantic: checksummed payload is not JSON: {exc}"
     if not isinstance(obj, dict):
         return None, f"semantic: record is not an object: {obj!r}"
     decoded: Any = obj
@@ -528,13 +524,9 @@ def fence_records(
 ) -> tuple[list[FramedRecord], int]:
     """Drop records older than the checkpoint generation.
 
-    Legacy (unframed) records carry no generation and always replay,
-    matching pre-framing behavior.  Returns ``(live, fenced_count)``.
+    Returns ``(live, fenced_count)``.
     """
-    live = [
-        r for r in records
-        if r.generation is None or r.generation >= generation
-    ]
+    live = [r for r in records if r.generation >= generation]
     fenced = len(records) - len(live)
     if fenced:
         _FENCED.inc(fenced)
@@ -607,10 +599,12 @@ def write_checkpoint(
 def load_checkpoint(
     path: Path, *, fs: StorageFS | None = None
 ) -> tuple[dict | None, int]:
-    """Read a checkpoint, legacy or fenced: ``(state, generation)``.
+    """Read a fenced checkpoint: ``(state, generation)``.
 
-    A missing checkpoint is ``(None, 0)``; a legacy checkpoint (the bare
-    state dict, written before generations existed) is generation 0.
+    A missing checkpoint is ``(None, 0)``.  Anything but a
+    ``{"format": 2, "generation": <int>, "state": <object|null>}``
+    document raises :class:`CorruptRecordError`; ``null`` is the state
+    a replica installs for an empty primary.
     """
     fs = fs or RealFS()
     path = Path(path)
@@ -625,10 +619,15 @@ def load_checkpoint(
             f"written atomically; this is external damage and cannot be "
             f"salvaged from the WAL alone)"
         ) from exc
-    if (
+    if not (
         isinstance(data, dict)
         and data.get("format") == CHECKPOINT_FORMAT
-        and "generation" in data
+        and type(data.get("generation")) is int
+        and "state" in data
+        and (data["state"] is None or isinstance(data["state"], dict))
     ):
-        return data["state"], int(data["generation"])
-    return data, 0
+        raise CorruptRecordError(
+            f"checkpoint {path} is not a format-{CHECKPOINT_FORMAT} "
+            f"checkpoint document"
+        )
+    return data["state"], data["generation"]

@@ -9,8 +9,8 @@ replayed lattice is state-identical to the lost one.
 Layout: one record per applied operation in a checksummed, framed log
 (see :mod:`repro.storage.framing` for the frame grammar, the torn/
 corrupt damage taxonomy, and checkpoint generation fencing), plus an
-atomically-replaced snapshot checkpoint that truncates the log (classic
-WAL + checkpoint).  Legacy unframed JSONL journals read transparently.
+atomically-replaced snapshot checkpoint at ``<wal>.checkpoint`` that
+truncates the log (classic WAL + checkpoint).
 
 Durability is governed by a :class:`~repro.storage.framing.DurabilityPolicy`
 (fsync per append / per checkpoint / never, plus the auto-checkpoint
@@ -19,11 +19,11 @@ thresholds) and recovery by a mode — ``strict`` raises on corruption,
 :meth:`DurableLattice.reopen` and the ``repro recover`` CLI.
 
 :class:`JournalFile` is the only WAL engine in the package and
-:meth:`JournalFile.replay` the only recovery path: the schema store
-(:class:`DurableLattice`), the whole-objectbase store
-(:class:`~repro.storage.durable_store.DurableObjectbase`) and the
-replica (:class:`~repro.replication.replica.ReplicaStore`) differ only
-in their :class:`RecordCodec` and in the applier they hand to it.
+:meth:`JournalFile.replay` the only recovery path.  Every log holds
+schema operations and every checkpoint a lattice document, so the
+schema store (:class:`DurableLattice`) and the replica
+(:class:`~repro.replication.replica.ReplicaStore`) differ only in the
+applier they hand to it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Generic, TypeVar
+from typing import Callable, Generic, TypeVar
 
 from ..core.config import LatticePolicy
 from ..core.errors import JournalError
@@ -60,8 +60,6 @@ from .snapshot import lattice_from_dict, lattice_to_dict
 __all__ = [
     "JournalFile",
     "DurableLattice",
-    "OPERATIONS",
-    "RecordCodec",
     "Replay",
     "lattice_from_checkpoint",
 ]
@@ -99,25 +97,6 @@ _WAL_AUTO_CHECKPOINTS = REGISTRY.counter(
 
 
 @dataclass(frozen=True)
-class RecordCodec:
-    """What one kind of store keeps in its WAL and its checkpoint.
-
-    Records are written as their ``to_dict()``; ``decode`` turns a
-    verified payload back into the record an applier receives (raising
-    ``ValueError``/``KeyError``/``TypeError`` marks the record corrupt),
-    and ``snapshot`` turns the store's in-memory state into the
-    checkpoint document.
-    """
-
-    decode: Callable[[dict], Any]
-    snapshot: Callable[[Any], Any]
-
-
-#: Schema operations over a lattice checkpoint (the default codec).
-OPERATIONS = RecordCodec(decode=operation_from_dict, snapshot=lattice_to_dict)
-
-
-@dataclass(frozen=True)
 class Replay(Generic[T]):
     """The outcome of :meth:`JournalFile.replay`."""
 
@@ -141,8 +120,6 @@ class JournalFile:
         self,
         path: str | Path,
         *,
-        codec: RecordCodec = OPERATIONS,
-        checkpoint_path: str | Path | None = None,
         durability: DurabilityPolicy | None = None,
         fs: StorageFS | None = None,
         retry: RetryPolicy | None = None,
@@ -152,11 +129,9 @@ class JournalFile:
         # wins (fault injection, pre-built backends).
         target = resolve_storage_url(path, fs=fs)
         self.path = Path(target.path)
-        self.checkpoint_path = (
-            Path(checkpoint_path) if checkpoint_path is not None
-            else self.path.with_suffix(self.path.suffix + ".checkpoint")
+        self.checkpoint_path = self.path.with_suffix(
+            self.path.suffix + ".checkpoint"
         )
-        self.codec = codec
         self.durability = durability or DurabilityPolicy()
         self.fs = target.fs
         self.retry = retry or RetryPolicy()
@@ -232,18 +207,18 @@ class JournalFile:
         _WAL_APPENDS.inc()
         _WAL_APPEND_SECONDS.observe(perf_counter() - started)
 
-    def operations(self, mode: str = "strict") -> list:
-        """The live logged records, decoded, in order (read-only).
+    def operations(self, mode: str = "strict") -> list[SchemaOperation]:
+        """The live logged operations, in order (read-only).
 
         Torn trailing writes are tolerated and records fenced off by the
         checkpoint generation are skipped; structural corruption raises
         :class:`~repro.core.errors.CorruptRecordError` in strict mode.
-        A final record that parses but decodes to no valid record is
-        *schema* corruption, not a torn write, and is treated as corrupt
-        no matter where it sits.
+        A final record that verifies but decodes to no valid operation
+        is *schema* corruption, not a torn write, and is treated as
+        corrupt no matter where it sits.
         """
         records, _ = read_log(
-            self.path, fs=self.fs, mode=mode, decode=self.codec.decode
+            self.path, fs=self.fs, mode=mode, decode=operation_from_dict
         )
         live, _ = fence_records(records, self.generation)
         return [r.decoded for r in live]
@@ -269,7 +244,7 @@ class JournalFile:
             self.fs.unlink(stale_tmp)
         records, report = read_log(
             self.path, fs=self.fs, mode=mode,
-            decode=self.codec.decode, repair=True,
+            decode=operation_from_dict, repair=True,
         )
         self._tail_checked = True
         live, report.records_fenced = fence_records(records, self.generation)
@@ -284,7 +259,7 @@ class JournalFile:
     def replay(
         self,
         load: Callable[[dict | None], T],
-        apply: Callable[[T, FramedRecord, FramedRecord | None], None],
+        apply: Callable[[T, FramedRecord], None],
         mode: str = "strict",
     ) -> Replay[T]:
         """Rebuild a store from its durable files: the one recovery path.
@@ -292,10 +267,7 @@ class JournalFile:
         Loads the checkpoint once (``load(state)`` builds the base from
         it; ``state`` is ``None`` when there is none), heals crash
         residue and reads and fences the log once (:meth:`repair`'s
-        work), then hands each live record to
-        ``apply(base, record, following)``.  ``following`` is the next
-        live record (``None`` for the last): one record of lookahead
-        for stores whose logs carry abort markers.
+        work), then hands each live record to ``apply(base, record)``.
 
         A replay slower than the policy's ``replay_budget_seconds``
         makes the next :meth:`auto_checkpoint` fold the tail away.
@@ -306,8 +278,8 @@ class JournalFile:
         base = load(state)
         live, report = self._heal(mode)
         started = perf_counter()
-        for index, record in enumerate(live, start=1):
-            apply(base, record, live[index] if index < len(live) else None)
+        for record in live:
+            apply(base, record)
         elapsed = perf_counter() - started
         replayed = len(live)
         self.since_checkpoint = replayed
@@ -325,8 +297,11 @@ class JournalFile:
             )
         return Replay(base, replayed, report)
 
-    def checkpoint(self, state: Any, *, generation: int | None = None) -> None:
-        """Fold the applied records into an atomic snapshot of ``state``.
+    def checkpoint(
+        self, state: dict | None, *, generation: int | None = None
+    ) -> None:
+        """Fold the applied records into an atomic checkpoint holding the
+        document ``state`` (a lattice as :func:`lattice_to_dict` writes it).
 
         The checkpoint is written to a temp file, fsynced, renamed into
         place and the directory fsynced; only then is the WAL truncated.
@@ -343,7 +318,7 @@ class JournalFile:
         sync = self.durability.sync_checkpoints
         write_checkpoint(
             self.checkpoint_path,
-            self.codec.snapshot(state),
+            state,
             generation,
             fs=self.fs,
             sync=sync,
@@ -360,14 +335,15 @@ class JournalFile:
             self.checkpoint_path, generation,
         )
 
-    def auto_checkpoint(self, state: Any, written: int = 0) -> None:
+    def auto_checkpoint(self, lattice: TypeLattice, written: int = 0) -> None:
         """Count ``written`` records just logged, then checkpoint
-        ``state`` if the durability policy asks for it.
+        ``lattice`` if the durability policy asks for it.
 
         Stores call this once after opening (``written=0``) and after
         every write.  The open-time call acts on a replay that overran
         ``replay_budget_seconds``; ``checkpoint_every`` is checked only
         when records were written, so opening alone never writes for it.
+        The lattice is serialized only when a checkpoint is written.
         """
         self.since_checkpoint += written
         every = self.durability.checkpoint_every
@@ -382,7 +358,7 @@ class JournalFile:
             "auto-checkpoint (%s) after %d record(s)",
             reason, self.since_checkpoint,
         )
-        self.checkpoint(state)
+        self.checkpoint(lattice_to_dict(lattice))
         _WAL_AUTO_CHECKPOINTS.labels(reason=reason).inc()
 
     def recover(
@@ -392,7 +368,7 @@ class JournalFile:
         the live tail of the log."""
         return self.replay(
             lambda state: lattice_from_checkpoint(state, policy),
-            lambda lattice, record, _following: record.decoded.apply(lattice),
+            lambda lattice, record: record.decoded.apply(lattice),
             mode,
         ).base
 
@@ -402,7 +378,7 @@ class JournalFile:
             timed_fsync(self.fs, self.path)
 
 
-def _replay_operation(journal: EvolutionJournal, record, _following) -> None:
+def _replay_operation(journal: EvolutionJournal, record: FramedRecord) -> None:
     journal.apply(record.decoded)
 
 
@@ -499,7 +475,7 @@ class DurableLattice:
         return result
 
     def checkpoint(self) -> None:
-        self.file.checkpoint(self.lattice)
+        self.file.checkpoint(lattice_to_dict(self.lattice))
 
     def sync(self) -> None:
         """Flush appended records to disk (the batch-policy commit point)."""

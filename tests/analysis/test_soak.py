@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import SoakSession
 from repro.core import verify
-from repro.storage import objectbase_from_dict, objectbase_to_dict
+from repro.storage import lattice_from_dict, lattice_to_dict
 
 
 class TestSoak:
@@ -45,10 +45,9 @@ class TestSoak:
     def test_soaked_store_snapshots_cleanly(self):
         session = SoakSession(seed=17)
         session.run(300)
-        data = objectbase_to_dict(session.store)
-        back = objectbase_from_dict(data)
+        back = lattice_from_dict(lattice_to_dict(session.store.lattice))
         assert (
-            back.lattice.state_fingerprint()
+            back.state_fingerprint()
             == session.store.lattice.state_fingerprint()
         )
 

@@ -36,13 +36,10 @@ from repro.core.lattice import TypeLattice
 from repro.core.operations import operation_from_dict
 from repro.replication import ReplicaStore, ReplicationSource
 from repro.replication.protocol import Position
-from repro.storage.durable_store import DurableObjectbase
 from repro.storage.faults import CrashPoint
 from repro.storage.framing import DurabilityPolicy, frame_payload
 from repro.storage.journal import DurableLattice, JournalFile
 from repro.storage.snapshot import lattice_from_dict
-from repro.tigukat.evolution import SchemaManager
-from repro.tigukat.store import Objectbase
 
 ALWAYS = DurabilityPolicy(fsync="always")
 
@@ -54,15 +51,6 @@ SCRIPT = [
     AddEssentialSupertype("T_student", "T_employee"),
 ]
 
-#: DurableObjectbase workload: (method, args) pairs, all replayable.
-OB_OPS = [
-    ("define_stored_behavior", ("p.name", "name", "T_string")),
-    ("define_stored_behavior", ("s.gpa", "gpa", "T_real")),
-    ("at", ("T_person", (), ("p.name",), True)),
-    ("at", ("T_student", ("T_person",), ("s.gpa",), True)),
-    ("at", ("T_employee", ("T_person",), (), True)),
-]
-
 
 def lattice_prefix_fingerprints() -> dict[str, int]:
     """state_fingerprint -> number of SCRIPT ops producing it."""
@@ -71,18 +59,6 @@ def lattice_prefix_fingerprints() -> dict[str, int]:
     for i, op in enumerate(SCRIPT, start=1):
         op.apply(lattice)
         fingerprints[lattice.state_fingerprint()] = i
-    return fingerprints
-
-
-def objectbase_prefix_fingerprints() -> dict[str, int]:
-    fingerprints = {}
-    for n in range(len(OB_OPS) + 1):
-        store = Objectbase()
-        manager = SchemaManager(store)
-        for method, args in OB_OPS[:n]:
-            target = getattr(manager, method, None) or getattr(store, method)
-            target(*args)
-        fingerprints[store.lattice.state_fingerprint()] = n
     return fingerprints
 
 
@@ -187,36 +163,6 @@ class TestDurableLatticeCrashMatrix:
                 return
             crash_at += 1
         raise AssertionError("recovery never completed")
-
-
-class TestDurableObjectbaseCrashMatrix:
-    def test_execute_and_checkpoint_matrix(self, backend, tmp_path):
-        prefixes = objectbase_prefix_fingerprints()
-        scenario = {"n": 0}
-
-        def workload(fs):
-            scenario["n"] += 1
-            directory = tmp_path / f"crash-{scenario['n']}"
-            scenario["dir"] = directory
-            fs.acknowledged = 0
-            durable = DurableObjectbase(
-                directory, durability=ALWAYS, fs=fs
-            )
-            for i, (method, args) in enumerate(OB_OPS):
-                durable.execute(method, *args)
-                fs.acknowledged += 1
-                if i == 2:
-                    durable.checkpoint()
-            return fs.acknowledged
-
-        def recover(mode):
-            durable = DurableObjectbase.reopen(
-                scenario["dir"], recovery=mode, fs=backend.fresh()
-            )
-            return durable.store.lattice.state_fingerprint()
-
-        scenarios = drive_matrix(backend.faulty, workload, recover, prefixes)
-        assert scenarios > 10
 
 
 def published(snapshot: SchemaSnapshot) -> frozenset:

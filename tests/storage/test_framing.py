@@ -1,6 +1,7 @@
 """Unit tests for the framed-WAL substrate (framing, fencing, salvage)."""
 
 import json
+import re
 
 import pytest
 
@@ -51,8 +52,9 @@ class TestFrameEncoding:
         with pytest.raises(CorruptRecordError, match="version"):
             frame_payload(line)
 
-    def test_legacy_unframed_line_parses(self):
-        assert frame_payload(b'{"code": "AT"}') == {"code": "AT"}
+    def test_unframed_line_rejected(self):
+        with pytest.raises(CorruptRecordError, match="frame tag"):
+            frame_payload(b'{"code": "AT"}')
 
 
 class TestScanClassification:
@@ -94,11 +96,23 @@ class TestScanClassification:
         scan = scan_log(data, decode)
         assert scan.damage is not None and scan.damage.kind == "corrupt"
 
-    def test_mixed_legacy_and_framed(self):
-        data = b'{"legacy": 1}\n' + frame({"framed": 2}, generation=3)
+    def test_unframed_line_after_framed_is_corrupt(self):
+        data = frame({"framed": 1}, generation=3) + b'{"bare": 2}\n'
         scan = scan_log(data)
-        assert scan.records[0].generation is None
-        assert scan.records[1].generation == 3
+        assert [r.generation for r in scan.records] == [3]
+        assert scan.damage is not None and scan.damage.kind == "corrupt"
+        assert "frame tag" in scan.damage.reason
+
+    @pytest.mark.parametrize(
+        "tail", [b'{"bare": 2}', b"#", b"#W"],
+        ids=["bare-json", "lone-hash", "bare-magic"],
+    )
+    def test_unterminated_unframed_tail_is_torn(self, tail):
+        data = frame({"framed": 1}) + tail
+        scan = scan_log(data)
+        assert len(scan.records) == 1
+        assert scan.damage is not None and scan.damage.kind == "torn"
+        assert scan.valid_end == len(data) - len(tail)
 
 
 class TestReadLog:
@@ -163,13 +177,12 @@ class TestFencing:
         p.write_bytes(
             frame({"old": 1}, generation=1)
             + frame({"new": 2}, generation=2)
-            + b'{"legacy": 3}\n'
+            + frame({"newer": 3}, generation=3)
         )
         records, _ = read_log(p)
         live, fenced = fence_records(records, 2)
         assert fenced == 1
-        # Legacy records carry no generation and always replay.
-        assert [r.payload for r in live] == [{"new": 2}, {"legacy": 3}]
+        assert [r.payload for r in live] == [{"new": 2}, {"newer": 3}]
 
 
 class TestCheckpoints:
@@ -180,11 +193,31 @@ class TestCheckpoints:
         assert state == {"types": ["T_x"]} and generation == 5
         assert not (tmp_path / "ckpt.tmp").exists()
 
-    def test_legacy_bare_state_reads_as_generation_zero(self, tmp_path):
+    def test_empty_state_roundtrips(self, tmp_path):
+        # A replica installs ``null`` for a primary with no checkpoint.
         p = tmp_path / "ckpt"
-        p.write_text(json.dumps({"format": 1, "types": []}))
-        state, generation = load_checkpoint(p)
-        assert state == {"format": 1, "types": []} and generation == 0
+        write_checkpoint(p, None, 3)
+        assert load_checkpoint(p) == (None, 3)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"format": 2, "generation": 1},
+            {"format": 2, "generation": "1", "state": {}},
+            [{"format": 2, "generation": 1, "state": {}}],
+            {"format": 3, "generation": 1, "state": {}},
+            {"format": 1, "types": []},
+        ],
+        ids=[
+            "missing-state", "non-int-generation", "json-list",
+            "unknown-format", "bare-state-dict",
+        ],
+    )
+    def test_malformed_checkpoint_is_corrupt(self, tmp_path, doc):
+        p = tmp_path / "ckpt"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(CorruptRecordError, match=re.escape(str(p))):
+            load_checkpoint(p)
 
     def test_missing_checkpoint(self, tmp_path):
         assert load_checkpoint(tmp_path / "nope") == (None, 0)

@@ -10,7 +10,10 @@ from repro.core import (
     JournalError,
     prop,
 )
+from repro.storage import journal
+from repro.storage.framing import DurabilityPolicy, encode_frame
 from repro.storage.journal import DurableLattice, JournalFile
+from repro.storage.snapshot import lattice_to_dict
 
 SCRIPT = [
     AddType("T_person", properties=(prop("person.name", "name"),)),
@@ -50,13 +53,14 @@ class TestJournalFile:
             jf.operations()
 
     def test_semantically_invalid_final_record_raises(self, tmp_path):
-        # Regression: a final record that parses as JSON but decodes to
+        # Regression: a final record that verifies but decodes to
         # no valid operation used to be silently discarded as if it were
         # a torn write.  It is schema corruption and must raise.
         jf = JournalFile(tmp_path / "wal.jsonl")
         jf.append(SCRIPT[0])
-        with jf.path.open("a") as fh:
-            fh.write('{"code": "NOPE", "name": "T_x"}')  # even unterminated
+        bogus = encode_frame('{"code": "NOPE", "name": "T_x"}', 0)
+        with jf.path.open("ab") as fh:
+            fh.write(bogus[:-1])  # checksummed, even unterminated
         with pytest.raises(JournalError):
             jf.operations()
 
@@ -88,7 +92,7 @@ class TestJournalFile:
         for op in SCRIPT:
             op.apply(lat)
             jf.append(op)
-        jf.checkpoint(lat)
+        jf.checkpoint(lattice_to_dict(lat))
         assert jf.operations() == []
         recovered = jf.recover()
         assert recovered.state_fingerprint() == lat.state_fingerprint()
@@ -99,7 +103,7 @@ class TestJournalFile:
         for op in SCRIPT[:3]:
             op.apply(lat)
             jf.append(op)
-        jf.checkpoint(lat)
+        jf.checkpoint(lattice_to_dict(lat))
         for op in SCRIPT[3:]:
             op.apply(lat)
             jf.append(op)
@@ -157,3 +161,27 @@ class TestDurableLattice:
             reopened.lattice.state_fingerprint()
             == durable.lattice.state_fingerprint()
         )
+
+    @pytest.mark.parametrize(
+        "every, serializations", [(None, 0), (10, 5)],
+        ids=["default-policy", "checkpoint-every-10"],
+    )
+    def test_lattice_serialized_only_when_checkpointing(
+        self, tmp_path, monkeypatch, every, serializations
+    ):
+        """A write pays for ``lattice_to_dict`` only when the policy
+        actually writes a checkpoint."""
+        calls = []
+
+        def counting(lattice):
+            calls.append(lattice)
+            return lattice_to_dict(lattice)
+
+        monkeypatch.setattr(journal, "lattice_to_dict", counting)
+        durable = DurableLattice(
+            tmp_path / "wal.jsonl",
+            durability=DurabilityPolicy(checkpoint_every=every),
+        )
+        for i in range(50):
+            durable.apply(AddType(f"T_{i}"))
+        assert len(calls) == serializations

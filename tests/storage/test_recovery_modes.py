@@ -1,4 +1,4 @@
-"""Recovery modes, legacy-format upgrade reads, fencing, auto-checkpoint.
+"""Recovery modes, unframed-line damage, fencing, auto-checkpoint.
 
 A conformance suite: every test takes the ``backend`` fixture and runs
 against both storage backends (see ``conftest.py``), performing its
@@ -17,11 +17,9 @@ from repro.core import (
     CorruptRecordError,
     prop,
 )
-from repro.core.lattice import TypeLattice
-from repro.storage.durable_store import DurableObjectbase
 from repro.storage.framing import (
+    RECOVERY_MODES,
     DurabilityPolicy,
-    load_checkpoint,
     write_checkpoint,
 )
 from repro.storage.journal import DurableLattice, JournalFile
@@ -39,45 +37,6 @@ def seed(path, fs, ops=SCRIPT):
     for op in ops:
         durable.apply(op)
     return durable
-
-
-class LatticeStore:
-    """The schema store, as the store-generic tests drive it."""
-
-    wal, checkpoint = "wal", "wal.checkpoint"
-
-    @staticmethod
-    def open(root, fs, durability=None):
-        return DurableLattice(root / "wal", durability=durability, fs=fs)
-
-    @staticmethod
-    def seed(durable):
-        durable.apply_all(SCRIPT)
-
-    @staticmethod
-    def fingerprint(durable):
-        return durable.lattice.state_fingerprint()
-
-
-class ObjectbaseStore:
-    """The whole-objectbase store, as the store-generic tests drive it."""
-
-    wal, checkpoint = "db/schema.wal", "db/objectbase.json"
-
-    @staticmethod
-    def open(root, fs, durability=None):
-        return DurableObjectbase(root / "db", durability=durability, fs=fs)
-
-    @staticmethod
-    def seed(durable):
-        durable.execute(
-            "define_stored_behavior", "p.name", "name", "T_string"
-        )
-        durable.execute("at", "T_person", (), ("p.name",), True)
-
-    @staticmethod
-    def fingerprint(durable):
-        return durable.store.lattice.state_fingerprint()
 
 
 class TestRecoveryModes:
@@ -131,93 +90,70 @@ class TestRecoveryModes:
         assert again.lattice.state_fingerprint() == expected
         assert again.recovery_report.clean
 
-    def test_objectbase_strict_vs_salvage(self, backend, tmp_path):
-        fs = backend.fresh()
-        durable = DurableObjectbase(tmp_path / "db", fs=fs)
-        durable.execute(
-            "define_stored_behavior", "p.name", "name", "T_string"
-        )
-        durable.execute("at", "T_person", (), ("p.name",), True)
-        expected = durable.store.lattice.state_fingerprint()
-        fs.append_bytes(
-            tmp_path / "db" / "schema.wal", b"#W1 0 9 00000000 junkjunk\n"
-        )
-        with pytest.raises(CorruptRecordError):
-            DurableObjectbase.reopen(tmp_path / "db", fs=backend.fresh())
-        reopened = DurableObjectbase.reopen(
-            tmp_path / "db", recovery="salvage", fs=backend.fresh()
-        )
-        assert reopened.store.lattice.state_fingerprint() == expected
-        assert backend.fresh().exists(
-            tmp_path / "db" / "schema.wal.corrupt"
-        )
 
+class TestUnframedLines:
+    """A WAL line without the ``#W`` frame tag is damage, never a record."""
 
-class TestLegacyFormatUpgrade:
-    def legacy_wal(self, backend, tmp_path):
-        """A pre-framing journal: bare JSONL, no checkpoint envelope."""
+    #: An operation that applies after SCRIPT, written as bare JSON.
+    BARE = json.dumps(
+        AddType("T_employee", ("T_person",)).to_dict(), sort_keys=True
+    ).encode("utf-8")
+
+    def test_terminated_bare_line_is_corrupt(self, backend, tmp_path):
         path = tmp_path / "wal"
-        lattice = TypeLattice(None)
-        lines = []
-        for op in SCRIPT:
-            op.apply(lattice)
-            lines.append(json.dumps(op.to_dict(), sort_keys=True))
-        backend.fresh().write_bytes(
-            path, ("\n".join(lines) + "\n").encode("utf-8")
-        )
-        return path, lattice.state_fingerprint()
+        fs = backend.fresh()
+        seed(path, fs)
+        fs.append_bytes(path, self.BARE + b"\n")
+        with pytest.raises(
+            CorruptRecordError, match="repro recover --mode salvage"
+        ):
+            DurableLattice.reopen(path, fs=backend.fresh())
 
-    def test_legacy_wal_recovers_identically(self, backend, tmp_path):
-        path, expected = self.legacy_wal(backend, tmp_path)
-        check_fs = backend.fresh()
-        original = check_fs.read_bytes(path)
-        reopened = DurableLattice.reopen(path, fs=backend.fresh())
-        assert reopened.lattice.state_fingerprint() == expected
-        # Reading and repairing a clean legacy journal rewrites nothing.
-        assert check_fs.read_bytes(path) == original
-
-    def test_append_after_legacy_upgrades_in_place(self, backend, tmp_path):
-        path, _ = self.legacy_wal(backend, tmp_path)
-        durable = DurableLattice.reopen(path, fs=backend.fresh())
-        durable.apply(AddType("T_employee", ("T_person",)))
-        text = backend.fresh().read_bytes(path).decode("utf-8")
-        assert text.startswith("{")  # legacy prefix untouched
-        assert "#W1 " in text  # new appends are framed
-        reopened = DurableLattice.reopen(path, fs=backend.fresh())
-        assert (
-            reopened.lattice.state_fingerprint()
-            == durable.lattice.state_fingerprint()
-        )
-
-    def test_legacy_checkpoint_reads_as_generation_zero(
+    def test_salvage_quarantines_terminated_bare_line(
         self, backend, tmp_path
     ):
         path = tmp_path / "wal"
         fs = backend.fresh()
         durable = seed(path, fs)
-        # Rewrite the checkpoint in the pre-fencing format: bare state.
-        durable.checkpoint()
-        ckpt = tmp_path / "wal.checkpoint"
-        state, generation = load_checkpoint(ckpt, fs=fs)
-        assert generation >= 1
-        fs.write_bytes(
-            ckpt,
-            json.dumps(lattice_to_dict(durable.lattice)).encode("utf-8"),
+        framed = fs.read_bytes(path)
+        fs.append_bytes(path, self.BARE + b"\n")
+        reopened = DurableLattice.reopen(
+            path, recovery="salvage", fs=backend.fresh()
         )
-        reopened = DurableLattice.reopen(path, fs=backend.fresh())
         assert (
             reopened.lattice.state_fingerprint()
             == durable.lattice.state_fingerprint()
         )
-        assert reopened.file.generation == 0
+        assert reopened.recovery_report.records_dropped == 1
+        check_fs = backend.fresh()
+        assert check_fs.read_bytes(path) == framed
+        assert self.BARE + b"\n" in check_fs.read_bytes(
+            tmp_path / "wal.corrupt"
+        )
 
-    def test_legacy_torn_tail_tolerated(self, backend, tmp_path):
-        path, expected = self.legacy_wal(backend, tmp_path)
-        backend.fresh().append_bytes(
-            path, b'{"code": "AT", "na'
-        )  # unterminated legacy line
-        reopened = DurableLattice.reopen(path, fs=backend.fresh())
-        assert reopened.lattice.state_fingerprint() == expected
+    @pytest.mark.parametrize("mode", RECOVERY_MODES)
+    @pytest.mark.parametrize(
+        "tail", [BARE, b"#"], ids=["bare-json", "lone-hash"]
+    )
+    def test_unterminated_final_line_is_torn(
+        self, backend, tmp_path, tail, mode
+    ):
+        path = tmp_path / "wal"
+        fs = backend.fresh()
+        durable = seed(path, fs)
+        framed = fs.read_bytes(path)
+        fs.append_bytes(path, tail)
+        reopened = DurableLattice.reopen(
+            path, recovery=mode, fs=backend.fresh()
+        )
+        assert (
+            reopened.lattice.state_fingerprint()
+            == durable.lattice.state_fingerprint()
+        )
+        assert reopened.recovery_report.torn_tail_bytes == len(tail)
+        check_fs = backend.fresh()
+        assert check_fs.read_bytes(path) == framed
+        assert not check_fs.exists(tmp_path / "wal.corrupt")
 
 
 class TestGenerationFencing:
@@ -279,38 +215,20 @@ class TestAutoCheckpoint:
             == durable.lattice.state_fingerprint()
         )
 
-    @pytest.mark.parametrize(
-        "store", [LatticeStore, ObjectbaseStore], ids=["lattice", "objectbase"]
-    )
-    def test_replay_budget_checkpoints_on_open(self, backend, tmp_path, store):
-        store.seed(store.open(tmp_path, backend.fresh()))
-        wal = tmp_path / store.wal
-        assert backend.fresh().read_bytes(wal) != b""
-        reopened = store.open(
-            tmp_path,
-            backend.fresh(),
+    def test_replay_budget_checkpoints_on_open(self, backend, tmp_path):
+        path = tmp_path / "wal"
+        seed(path, backend.fresh())
+        assert backend.fresh().read_bytes(path) != b""
+        reopened = DurableLattice(
+            path,
             durability=DurabilityPolicy(replay_budget_seconds=0.0),
-        )
-        # Any replay exceeds a zero budget: the tail was folded away.
-        assert backend.fresh().read_bytes(wal) == b""
-        assert backend.fresh().exists(tmp_path / store.checkpoint)
-        again = store.open(tmp_path, backend.fresh())
-        assert store.fingerprint(again) == store.fingerprint(reopened)
-
-    def test_objectbase_interval_policy(self, backend, tmp_path):
-        durable = DurableObjectbase(
-            tmp_path / "db",
-            durability=DurabilityPolicy(checkpoint_every=2),
             fs=backend.fresh(),
         )
-        durable.execute(
-            "define_stored_behavior", "p.name", "name", "T_string"
+        # Any replay exceeds a zero budget: the tail was folded away.
+        assert backend.fresh().read_bytes(path) == b""
+        assert backend.fresh().exists(tmp_path / "wal.checkpoint")
+        again = DurableLattice.reopen(path, fs=backend.fresh())
+        assert (
+            again.lattice.state_fingerprint()
+            == reopened.lattice.state_fingerprint()
         )
-        durable.execute("at", "T_person", (), ("p.name",), True)
-        assert backend.fresh().read_bytes(
-            tmp_path / "db" / "schema.wal"
-        ) == b""
-        reopened = DurableObjectbase.reopen(
-            tmp_path / "db", fs=backend.fresh()
-        )
-        assert reopened.store.class_of("T_person") is not None
