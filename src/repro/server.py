@@ -66,6 +66,21 @@ into ``/readyz``.  See ``docs/replication.md``.
 Every response carries ``{"error": {"code": ..., "message": ...}}`` on
 failure, so clients branch on the same codes the CLI exits with.
 
+**Response path.**  A GET reads the published snapshot once and derives
+its body and ``X-Schema-Generation`` from that one value, so a write
+committed meanwhile cannot make the header name another generation.
+The ``GET /v1/types`` body is encoded once per published snapshot and
+reused until the next publish.  Every response -- status line, headers
+and body -- leaves in one write on a socket with ``TCP_NODELAY`` set,
+so no part of it waits for the client's delayed ACK.  A request body
+is read before the request is answered, whatever the answer, so the
+next request on a keep-alive connection starts where it should.
+
+**Shutdown.**  :meth:`ObjectbaseHTTPServer.server_close` hangs up on
+keep-alive connections that sit idle between requests and waits for
+in-flight requests to finish, so an acknowledged write is durable
+before the process exits.
+
 **Admission-time lint gate.**  With ``lint="warn"`` or ``"error"``
 (``repro serve --lint``), every write is statically analyzed *under the
 write lock* against exactly the schema it would execute against, before
@@ -84,6 +99,7 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import perf_counter
@@ -95,7 +111,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import weight
     from .replication.primary import ReplicationServer
     from .replication.replica import ReplicaStore, ReplicationClient
 
-from .concurrent import ConcurrentObjectbase
+from .concurrent import ConcurrentObjectbase, SchemaSnapshot
 from .api import MIGRATE_LINT_MODES
 from .core.errors import (
     DDLError,
@@ -231,6 +247,9 @@ class ObjectbaseService:
         #: gated writes, oldest first.  Appended after a successful
         #: commit; read inside the gate (under the write lock).
         self._recent: deque = deque(maxlen=max(1, interference_history))
+        #: (snapshot, encoded ``GET /v1/types`` body) of the last
+        #: snapshot listed; compared by identity.
+        self._types_body: tuple[SchemaSnapshot, bytes] | None = None
 
     # -- the admission-time lint gate -------------------------------------
 
@@ -391,11 +410,10 @@ class ObjectbaseService:
             }
         return 200, {"ready": True}
 
-    def read_headers(self) -> dict[str, str]:
-        """Headers attached to every GET response (position telemetry)."""
-        return {
-            "X-Schema-Generation": str(self.store.snapshot.generation),
-        }
+    def read_headers(self, snap: SchemaSnapshot) -> dict[str, str]:
+        """Headers attached to every GET response served from ``snap``
+        (position telemetry)."""
+        return {"X-Schema-Generation": str(snap.generation)}
 
     def replication_status(self) -> tuple[int, dict]:
         if self.replication is None:
@@ -416,15 +434,20 @@ class ObjectbaseService:
         if self.replication is not None:
             self.replication.notify()
 
-    def list_types(self) -> tuple[int, dict]:
-        snap = self.store.snapshot
-        return 200, {
-            "types": sorted(snap.types()),
-            "generation": snap.generation,
-        }
+    def list_types(self, snap: SchemaSnapshot) -> bytes:
+        """The ``GET /v1/types`` body of ``snap``, encoded once per
+        published snapshot: snapshots are immutable."""
+        cached = self._types_body
+        if cached is None or cached[0] is not snap:
+            body = json.dumps(
+                {"types": sorted(snap.types()), "generation": snap.generation},
+                sort_keys=True,
+            ).encode("utf-8")
+            cached = self._types_body = (snap, body)
+        return cached[1]
 
-    def get_type(self, name: str) -> tuple[int, dict]:
-        return 200, self.store.card(name).as_dict()
+    def get_type(self, snap: SchemaSnapshot, name: str) -> tuple[int, dict]:
+        return 200, snap.card(name).as_dict()
 
     def apply(self, body: dict) -> tuple[int, dict]:
         op = operation_from_dict(body.get("op", body))
@@ -448,13 +471,12 @@ class ObjectbaseService:
             "changed": sum(1 for r in results if r.changed),
         }
 
-    def schema(self) -> tuple[str, int]:
-        """(canonical DDL text, generation), from one snapshot."""
-        snap = self.store.snapshot
+    def schema(self, snap: SchemaSnapshot) -> str:
+        """The canonical DDL text of ``snap``."""
         from .ddl.differ import schema_from
         from .ddl.printer import print_schema
 
-        return print_schema(schema_from(snap)), snap.generation
+        return print_schema(schema_from(snap))
 
     def migrate(self, body: dict) -> tuple[int, dict]:
         """Declarative migration: differ + lint gate under the write lock.
@@ -588,7 +610,7 @@ class ReplicaService(ObjectbaseService):
         # holds the base types, but 0:0 means no primary history yet.
         return not self.store.position.zero
 
-    def read_headers(self) -> dict[str, str]:
+    def read_headers(self, snap: SchemaSnapshot) -> dict[str, str]:
         # The durable position (not the in-memory snapshot counter) is
         # what catch-up pollers compare across restarts and nodes.
         lag = self.client.lag_records
@@ -645,6 +667,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro"
+    #: TCP_NODELAY on every accepted socket: a response larger than one
+    #: segment (the type list of a big schema) must not wait for the
+    #: client's delayed ACK either.
+    disable_nagle_algorithm = True
 
     # -- plumbing ---------------------------------------------------------
 
@@ -667,8 +693,17 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for key, value in (headers or {}).items():
             self.send_header(key, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        # end_headers() would write the header block by itself; adding
+        # the body to it first makes the response one write.  An
+        # HTTP/0.9 request gets the body alone.
+        block = getattr(self, "_headers_buffer", [])
+        if self.request_version != "HTTP/0.9":
+            block.append(b"\r\n")
+        block.append(body)
+        self.wfile.write(b"".join(block))
+        self._headers_buffer = []
 
     def _send_json(
         self,
@@ -679,15 +714,37 @@ class _Handler(BaseHTTPRequestHandler):
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self._send(status, body, headers=headers)
 
-    def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b"{}"
+    def _read_body(self) -> bytes:
+        """The request's declared body, read whatever the answer will
+        be: bytes left unread would be parsed as the next request."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Where this request ends is unknown: answer, then hang up.
+            self.close_connection = True
+            raise ValueError("invalid Content-Length header")
+        return self.rfile.read(length) if length else b""
+
+    @staticmethod
+    def _decode_body(raw: bytes) -> dict:
         decoded = json.loads(raw.decode("utf-8")) if raw.strip() else {}
         if not isinstance(decoded, dict):
             raise ValueError("request body must be a JSON object")
         return decoded
 
     # -- routing ----------------------------------------------------------
+
+    def handle(self) -> None:
+        # BaseHTTPRequestHandler.handle, except that each wait for the
+        # next request happens in ObjectbaseHTTPServer.await_request,
+        # where a closing server can hang up on an idle connection.
+        self.close_connection = True
+        while self.server.await_request(self):  # type: ignore[attr-defined]
+            self.handle_one_request()
+            if self.close_connection:
+                return
 
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         self._dispatch("GET")
@@ -729,38 +786,36 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle(self, method: str, route: str, param: str | None) -> int:
         service = self.service
         try:
+            raw = self._read_body()
             if method == "GET":
                 if route == "/metrics":
                     body = REGISTRY.render_prometheus().encode("utf-8")
                     self._send(200, body, content_type=PROMETHEUS_CONTENT_TYPE)
                     return 200
+                snap = service.store.snapshot
+                headers = service.read_headers(snap)
                 if route == "/v1/schema":
-                    text, generation = service.schema()
-                    headers = {"X-Schema-Generation": str(generation)}
-                    # A replica's read headers override the in-memory
-                    # generation with its durable position (comparable
-                    # across nodes) and add X-Replica-Lag.
-                    headers.update(service.read_headers())
                     self._send(
                         200,
-                        text.encode("utf-8"),
+                        service.schema(snap).encode("utf-8"),
                         content_type="text/plain; charset=utf-8",
                         headers=headers,
                     )
                     return 200
+                if route == "/v1/types":
+                    self._send(200, service.list_types(snap), headers=headers)
+                    return 200
                 handler = {
                     "/healthz": service.healthz,
                     "/readyz": service.readyz,
-                    "/v1/types": service.list_types,
                     "/v1/replication": service.replication_status,
                 }.get(route)
                 if handler is not None:
                     status, payload = handler()
                 elif route == "/v1/types/{name}":
-                    status, payload = service.get_type(param or "")
+                    status, payload = service.get_type(snap, param or "")
                 else:
                     status, payload = 404, _error_body("not-found", route)
-                headers = dict(service.read_headers())
                 if status == 503:
                     headers["Retry-After"] = "1"
                 self._send_json(status, payload, headers=headers)
@@ -788,8 +843,7 @@ class _Handler(BaseHTTPRequestHandler):
                     )
                     return 429
                 try:
-                    body = self._read_body()
-                    status, payload = writer(body)
+                    status, payload = writer(self._decode_body(raw))
                 finally:
                     service.release()
                 if status == 200:
@@ -841,9 +895,10 @@ def _error_body(
 class ObjectbaseHTTPServer(ThreadingHTTPServer):
     """One service, many connection threads, clean-shutdown drain.
 
-    ``daemon_threads`` stays ``False`` so :meth:`shutdown` waits for
+    ``daemon_threads`` stays ``False`` so :meth:`server_close` waits for
     in-flight requests — an acknowledged write is durable before the
-    process exits.
+    process exits.  A connection waiting for its next request is idle:
+    :meth:`server_close` hangs up on it rather than wait for the client.
     """
 
     daemon_threads = False
@@ -852,6 +907,45 @@ class ObjectbaseHTTPServer(ThreadingHTTPServer):
     def __init__(self, address, service: ObjectbaseService) -> None:
         super().__init__(address, _Handler)
         self.service = service
+        self._idle: set[socket.socket] = set()
+        self._idle_lock = threading.Lock()
+        self._closing = False
+
+    def await_request(self, handler: _Handler) -> bool:
+        """Wait, as an idle connection, until the handler's next request
+        starts arriving.
+
+        False when the client hung up or the server is closing.  Under
+        ``_idle_lock`` a connection is either claimed here for a request
+        or hung up on by :meth:`server_close`, never both, so every
+        request that starts also finishes.
+        """
+        conn = handler.connection
+        with self._idle_lock:
+            if self._closing:
+                return False
+            self._idle.add(conn)
+        try:
+            arrived = handler.rfile.peek(1)
+        except OSError:
+            arrived = b""
+        with self._idle_lock:
+            claimed = conn in self._idle
+            self._idle.discard(conn)
+        return claimed and bool(arrived)
+
+    def server_close(self) -> None:
+        """Stop listening, hang up on idle connections, and wait for the
+        requests in flight to finish."""
+        with self._idle_lock:
+            self._closing = True
+            idle, self._idle = self._idle, set()
+        for conn in idle:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:  # the client hung up first
+                pass
+        super().server_close()
 
 
 def make_server(

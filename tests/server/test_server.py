@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.concurrent import ConcurrentObjectbase
+from repro.core.operations import operation_from_dict
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.server import ObjectbaseService, make_server, status_for
 
@@ -18,8 +21,12 @@ class Client:
     """Tiny urllib wrapper returning (status, headers, parsed body)."""
 
     def __init__(self, server):
-        host, port = server.server_address[:2]
-        self.base = f"http://{host}:{port}"
+        self.host, self.port = server.server_address[:2]
+        self.base = f"http://{self.host}:{self.port}"
+
+    def connection(self) -> http.client.HTTPConnection:
+        """A keep-alive connection for tests that need one."""
+        return http.client.HTTPConnection(self.host, self.port, timeout=10)
 
     def request(self, method: str, path: str, body=None):
         data = json.dumps(body).encode() if body is not None else None
@@ -253,6 +260,151 @@ class TestDegradedService:
         assert client.json("GET", "/readyz")[0] == 200
         status, _ = client.json("POST", "/v1/apply", {"op": at("T_student")})
         assert status == 200
+
+
+class TestKeepAlive:
+    """A connection stays in step whatever the previous answer was."""
+
+    @pytest.mark.parametrize("method, path, shed, status", [
+        ("POST", "/v1/nope", False, 404),
+        ("POST", "/v1/apply", True, 429),
+        ("PUT", "/v1/types", False, 405),
+        ("DELETE", "/v1/types", False, 405),
+    ])
+    def test_unread_body_does_not_corrupt_next_request(
+        self, served, method, path, shed, status
+    ):
+        _, service, client = served
+        conn = client.connection()
+        held = 0
+        if shed:  # every write slot taken: the next write is shed
+            while service.admit():
+                held += 1
+        try:
+            conn.request(method, path, body=json.dumps({"op": at("T_z")}))
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == status
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            assert (resp.status, json.loads(resp.read())) == (
+                200, {"status": "ok"},
+            )
+        finally:
+            for _ in range(held):
+                service.release()
+            conn.close()
+
+    def test_invalid_content_length_is_400_and_closes(self, served):
+        _, _, client = served
+        conn = client.connection()
+        try:
+            conn.putrequest("POST", "/v1/apply")
+            conn.putheader("Content-Length", "-1")
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert resp.will_close
+        finally:
+            conn.close()
+
+
+class AdvancingStore:
+    """A store that commits one more type after every ``snapshot`` read,
+    as if a writer won every race against the reader."""
+
+    def __init__(self, store: ConcurrentObjectbase) -> None:
+        self._store = store
+        self._reads = 0
+
+    @property
+    def snapshot(self):
+        snap = self._store.snapshot
+        self._reads += 1
+        self._store.apply(operation_from_dict(at(f"T_race{self._reads}")))
+        return snap
+
+    def __getattr__(self, name):
+        return getattr(self._store, name)
+
+
+class TestOneSnapshotPerRead:
+    def test_generation_header_matches_body(self, tmp_path):
+        store = ConcurrentObjectbase.open(tmp_path / "schema.wal")
+        server = make_server(ObjectbaseService(AdvancingStore(store)), port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = Client(server)
+            for _ in range(3):
+                status, headers, raw = client.request("GET", "/v1/types")
+                body = json.loads(raw)
+                assert status == 200
+                assert headers["X-Schema-Generation"] == str(
+                    body["generation"]
+                )
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+
+class TestShutdown:
+    def test_idle_connection_closed_and_inflight_write_drains(self, tmp_path):
+        path = tmp_path / "schema.wal"
+        store = ConcurrentObjectbase.open(path, lock_timeout=10)
+        server = make_server(ObjectbaseService(store), port=0)
+        serving = threading.Thread(target=server.serve_forever, daemon=True)
+        serving.start()
+        client = Client(server)
+        idle = client.connection()
+        idle.request("GET", "/healthz")
+        resp = idle.getresponse()
+        resp.read()
+        assert resp.status == 200 and not resp.will_close
+        replies: list[int] = []
+
+        def write() -> None:
+            conn = client.connection()
+            try:
+                conn.request(
+                    "POST", "/v1/apply", body=json.dumps({"op": at("T_late")})
+                )
+                resp = conn.getresponse()
+                resp.read()
+                replies.append(resp.status)
+            finally:
+                conn.close()
+
+        def stop() -> None:
+            server.shutdown()
+            server.server_close()
+
+        writer = threading.Thread(target=write)
+        stopper = threading.Thread(target=stop)
+        store._lock.acquire()  # the write waits on the lock: in flight
+        try:
+            writer.start()
+            deadline = time.monotonic() + 5
+            while store._lock.waiters == 0 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert store._lock.waiters == 1
+            started = time.monotonic()
+            stopper.start()
+            time.sleep(0.2)
+            assert stopper.is_alive()  # draining the write in flight
+        finally:
+            store._lock.release()
+        stopper.join(timeout=2)
+        alive = stopper.is_alive()
+        idle.close()  # lets a server that waits on it finish the test
+        stopper.join(timeout=5)
+        assert not alive
+        assert time.monotonic() - started < 2
+        writer.join(timeout=5)
+        assert not writer.is_alive()
+        assert replies == [200]
+        assert "T_late" in ConcurrentObjectbase.open(path).types()
 
 
 class TestStatusFor:
