@@ -1,14 +1,13 @@
 #!/usr/bin/env python
-"""Benchmark: WAL append throughput and recovery cost per fsync policy.
+"""Benchmark: durable WAL append throughput and recovery cost.
 
 Three measurements over the framed write-ahead journal
 (:mod:`repro.storage.framing`), swept across every storage backend
 (``file`` / ``sqlite`` — see ``docs/storage.md``):
 
-* **append throughput** — operations appended per second under each
-  :class:`~repro.storage.framing.DurabilityPolicy` fsync mode
-  (``always`` / ``batch`` / ``never``), with counter provenance proving
-  each mode issued exactly the fsyncs it promises;
+* **append throughput** — operations appended per second, each fsynced
+  before ``apply`` returns, with counter provenance proving every
+  append issued exactly one fsync;
 * **recovery** — wall time to reopen a WAL with a long tail, and again
   after a checkpoint folded the tail away (the replay-budget payoff);
 * **salvage scan** — wall time for a salvage pass over a damaged log
@@ -23,8 +22,8 @@ Run as a script (the CI smoke job uses ``--quick``)::
 both and nests the results per backend in the artifact.
 
 ``--check`` asserts correctness invariants, not precise timings (shared
-runners are too noisy for tight throughput gates): fsync counts match
-the policy, recovery is state-identical to the writer, salvage keeps
+runners are too noisy for tight throughput gates): one fsync per
+append, recovery is state-identical to the writer, salvage keeps
 the valid prefix, and every backend clears a deliberately modest
 absolute throughput floor that only a pathological regression (e.g. an
 accidental O(n) re-read per append) would trip.
@@ -43,15 +42,13 @@ from pathlib import Path
 from repro.core import AddEssentialProperty, AddType, prop
 from repro.obs.metrics import REGISTRY
 from repro.storage.backend import FileBackend, StorageBackend
-from repro.storage.framing import DurabilityPolicy
 from repro.storage.journal import DurableLattice, JournalFile
 from repro.storage.sqlite_backend import SqliteBackend
 
-POLICIES = ("always", "batch", "never")
 BACKENDS = ("file", "sqlite")
 
-# Any slower than this on fsync=never and something is structurally
-# wrong with the backend, not merely a noisy runner.
+# Any slower than this, even paying one fsync per append, and something
+# is structurally wrong with the backend, not merely a noisy runner.
 MIN_OPS_PER_SEC = 100.0
 
 
@@ -76,37 +73,28 @@ def script(n_ops: int) -> list:
 
 
 def bench_append(backend: str, n_ops: int) -> dict:
-    """Ops/second appended to the WAL under each fsync policy."""
+    """Ops/second appended to the WAL, one fsync per append."""
     ops = script(n_ops)
-    results = {}
-    for policy in POLICIES:
-        with tempfile.TemporaryDirectory() as tmp:
-            fs = make_fs(backend, tmp)
-            try:
-                path = Path(tmp) / "bench.wal"
-                durable = DurableLattice(
-                    path,
-                    durability=DurabilityPolicy(fsync=policy),
-                    fs=fs,
-                )
-                REGISTRY.reset()
-                start = time.perf_counter()
-                for op in ops:
-                    durable.apply(op)
-                if policy == "batch":
-                    durable.sync()  # the batch commit point counts too
-                elapsed = time.perf_counter() - start
-                counters = REGISTRY.counter_samples()
-                results[policy] = {
-                    "n_ops": len(ops),
-                    "elapsed_ms": elapsed * 1e3,
-                    "ops_per_sec": len(ops) / elapsed,
-                    "fsyncs": counters.get("repro_wal_fsyncs_total", 0),
-                    "wal_bytes": fs.size(path),
-                }
-            finally:
-                fs.close()
-    return results
+    with tempfile.TemporaryDirectory() as tmp:
+        fs = make_fs(backend, tmp)
+        try:
+            path = Path(tmp) / "bench.wal"
+            durable = DurableLattice(path, fs=fs)
+            REGISTRY.reset()
+            start = time.perf_counter()
+            for op in ops:
+                durable.apply(op)
+            elapsed = time.perf_counter() - start
+            counters = REGISTRY.counter_samples()
+            return {
+                "n_ops": len(ops),
+                "elapsed_ms": elapsed * 1e3,
+                "ops_per_sec": len(ops) / elapsed,
+                "fsyncs": counters.get("repro_wal_fsyncs_total", 0),
+                "wal_bytes": fs.size(path),
+            }
+        finally:
+            fs.close()
 
 
 def bench_recovery(backend: str, n_ops: int, repeats: int) -> dict:
@@ -190,26 +178,17 @@ def check_backend(name: str, measured: dict) -> list[str]:
     recovery = measured["recovery"]
     salvage = measured["salvage"]
     failures = []
-    appended = append["always"]["n_ops"]
-    if append["always"]["fsyncs"] < appended:
+    # On sqlite the counted fsync is a no-op the commit subsumes, but it
+    # is still issued once per append.
+    if append["fsyncs"] != append["n_ops"]:
         failures.append(
-            f"[{name}] fsync=always issued only "
-            f"{append['always']['fsyncs']} fsync(s) for {appended} appends"
+            f"[{name}] {append['fsyncs']} fsync(s) for "
+            f"{append['n_ops']} appends; expected one per append"
         )
-    if append["never"]["fsyncs"] != 0:
+    if append["ops_per_sec"] < MIN_OPS_PER_SEC:
         failures.append(
-            f"[{name}] fsync=never issued "
-            f"{append['never']['fsyncs']} fsync(s)"
-        )
-    if not (0 < append["batch"]["fsyncs"] < appended):
-        failures.append(
-            f"[{name}] fsync=batch issued {append['batch']['fsyncs']} "
-            f"fsync(s); expected a handful (commit points only)"
-        )
-    slowest = min(p["ops_per_sec"] for p in append.values())
-    if slowest < MIN_OPS_PER_SEC:
-        failures.append(
-            f"[{name}] append throughput fell to {slowest:.0f} ops/s "
+            f"[{name}] append throughput fell to "
+            f"{append['ops_per_sec']:.0f} ops/s "
             f"(floor {MIN_OPS_PER_SEC:.0f})"
         )
     if not recovery["recovered_fingerprint_matches"]:
@@ -261,7 +240,7 @@ def main(argv=None) -> int:
         }
 
     result = {
-        "benchmark": "WAL durability: fsync policies and recovery",
+        "benchmark": "WAL durability: fsynced appends and recovery",
         "mode": "quick" if args.quick else "full",
         "python": platform.python_version(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -274,11 +253,10 @@ def main(argv=None) -> int:
         recovery = measured["recovery"]
         salvage = measured["salvage"]
         print(f"== backend: {name}")
-        print(f"append throughput ({n_append} framed records):")
-        for policy in POLICIES:
-            r = append[policy]
-            print(f"  fsync={policy:<7} {r['ops_per_sec']:10.0f} ops/s  "
-                  f"({r['fsyncs']} fsync(s), {r['wal_bytes']} WAL bytes)")
+        print(f"append throughput ({append['n_ops']} framed records): "
+              f"{append['ops_per_sec']:.0f} ops/s "
+              f"({append['fsyncs']} fsync(s), "
+              f"{append['wal_bytes']} WAL bytes)")
         print(f"recovery of a {recovery['n_ops']}-op tail:")
         print(f"  replay tail        {recovery['replay_tail_ms']:9.3f} ms")
         print(f"  after checkpoint   "
@@ -297,9 +275,8 @@ def main(argv=None) -> int:
             for f in failures:
                 print(f"FAIL: {f}", file=sys.stderr)
             return 1
-        print(f"OK ({', '.join(per_backend)}): fsync provenance matches "
-              "policies, recovery exact, salvage lossless, throughput "
-              "above floor")
+        print(f"OK ({', '.join(per_backend)}): one fsync per append, "
+              "recovery exact, salvage lossless, throughput above floor")
     return 0
 
 

@@ -262,7 +262,8 @@ class Objectbase:
         Recovery replays the journal in batch mode: the first query after
         opening pays one derivation pass, regardless of the plan length.
 
-        ``durability`` selects the fsync and auto-checkpoint policy
+        Every applied operation is fsynced to the WAL before the call
+        returns.  ``durability`` selects the auto-checkpoint policy
         (:class:`~repro.storage.framing.DurabilityPolicy`); ``recovery``
         chooses how on-disk damage is met — ``"strict"`` raises a typed
         :class:`~repro.core.errors.CorruptRecordError`, ``"salvage"``
@@ -573,19 +574,6 @@ class Objectbase:
                 "checkpoint requires a durable objectbase (use Objectbase.open)"
             )
         self._journal.checkpoint()
-
-    def sync(self) -> None:
-        """Force WAL records to stable storage (durable objectbases only).
-
-        The explicit commit point under ``DurabilityPolicy(fsync="batch")``
-        — a no-op risk window closer; with ``fsync="always"`` every apply
-        already synced.
-        """
-        if not self.durable:
-            raise TransactionError(
-                "sync requires a durable objectbase (use Objectbase.open)"
-            )
-        self._journal.sync()
 
     def __repr__(self) -> str:
         kind = "durable" if self.durable else "in-memory"

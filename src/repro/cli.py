@@ -29,10 +29,11 @@ subcommand is one of the paper's operations or inspections::
     python -m repro --db schema.wal serve --port 8787   # HTTP/JSON service
 
 Opening the database replays the WAL in batch mode: one derivation pass
-per invocation, however long the journal tail is.  The global
-``--fsync {always,batch,never}`` and ``--checkpoint-every N`` flags
-select the :class:`~repro.storage.framing.DurabilityPolicy` for the
-mutation subcommands; ``recover`` heals a damaged WAL (``--mode strict``
+per invocation, however long the journal tail is.  Every mutation is
+fsynced to the WAL before the command reports it.  The global
+``--checkpoint-every N`` flag selects the auto-checkpoint
+:class:`~repro.storage.framing.DurabilityPolicy` for the mutation
+subcommands; ``recover`` heals a damaged WAL (``--mode strict``
 only diagnoses, ``--mode salvage`` truncates torn tails and quarantines
 corrupt records into a ``.corrupt`` sidecar — see ``docs/durability.md``).
 
@@ -81,6 +82,15 @@ from .viz import (
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(value: str) -> int:
+    """An argparse type for counts that must be at least 1."""
+    if not value.isdigit() or int(value) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {value!r}"
+        )
+    return int(value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -101,13 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="log only errors (overrides --verbose)",
     )
     parser.add_argument(
-        "--fsync", choices=("always", "batch", "never"), default=None,
-        help="WAL fsync policy: always = fsync every record (crash-safe), "
-             "batch = fsync at checkpoints and close (default), "
-             "never = leave flushing to the OS",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, metavar="N", default=None,
+        "--checkpoint-every", type=_positive_int, metavar="N", default=None,
         help="auto-checkpoint after N journaled operations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -540,7 +544,7 @@ def _cmd_serve(args, durability) -> int:
         _trace.set_sink(sink)
     try:
         if args.replica_of:
-            return _serve_replica(args, durability)
+            return _serve_replica(args)
         return _serve_primary(args, durability)
     finally:
         if sink is not None:
@@ -548,7 +552,7 @@ def _cmd_serve(args, durability) -> int:
             sink.close()
 
 
-def _serve_replica(args, durability) -> int:
+def _serve_replica(args) -> int:
     from .replication import ReplicaStore, ReplicationClient
     from .server import ReplicaService, serve_service
 
@@ -558,7 +562,7 @@ def _serve_replica(args, durability) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        store = ReplicaStore(args.db, durability=durability)
+        store = ReplicaStore(args.db)
     except EvolutionError as exc:
         print(
             f"error [{error_code(exc)}]: cannot open {args.db}: {exc}",
@@ -650,11 +654,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "recover":
         return _cmd_recover(args)
     durability = None
-    if args.fsync is not None or args.checkpoint_every is not None:
-        durability = DurabilityPolicy(
-            fsync=args.fsync or "batch",
-            checkpoint_every=args.checkpoint_every,
-        )
+    if args.checkpoint_every is not None:
+        durability = DurabilityPolicy(checkpoint_every=args.checkpoint_every)
     if args.command == "serve":
         return _cmd_serve(args, durability)
     try:

@@ -518,9 +518,6 @@ class ConcurrentObjectbase:
     def checkpoint(self, *, timeout: float | None = None) -> None:
         return self._write(self._ob.checkpoint, timeout)
 
-    def sync(self) -> None:
-        self._ob.sync()
-
     def set_write_fence(self, fence: Callable[[], None] | None) -> None:
         """Install (or clear, with ``None``) a write fence on the WAL.
 

@@ -82,8 +82,8 @@ SIZE_BUCKETS: tuple[float, ...] = (
 #: Bucket upper bounds for fsync latency, in seconds.  Finer than
 #: :data:`LATENCY_BUCKETS` at the low end (a flush to a local SSD is
 #: tens of microseconds) and topping out at the quarter second a busy
-#: spinning disk can take — the knob ``DurabilityPolicy.fsync`` trades
-#: against, so the histogram must resolve both regimes.
+#: spinning disk can take.  Every acknowledged write pays one, so the
+#: histogram must resolve both regimes.
 FSYNC_BUCKETS: tuple[float, ...] = (
     0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
     0.01, 0.025, 0.05, 0.1, 0.25,

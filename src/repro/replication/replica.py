@@ -3,11 +3,11 @@
 :class:`ReplicaStore` owns the replica's local files — the *same* WAL +
 checkpoint layout as a primary, holding verbatim copies of the shipped
 frames — and the published :class:`~repro.concurrent.SchemaSnapshot`
-readers serve from.  Durability before visibility: every shipped record
-is appended to the local WAL *before* it is applied and published, so a
-replica that crashes mid-replay recovers (by the ordinary storage-layer
-recovery) to exactly the prefix it had acknowledged, and resumes from
-there.
+readers serve from.  Durability before visibility: every shipped batch
+is appended to the local WAL and fsynced *before* it is applied and
+published, so a replica that crashes mid-replay recovers (by the
+ordinary storage-layer recovery) to exactly the prefix it had
+acknowledged, and resumes from there.
 
 :class:`ReplicationClient` is the background thread that keeps the
 store fed: connect, handshake with the durable position and prefix CRC,
@@ -55,12 +55,11 @@ from ..core.errors import (
     StaleEpochError,
 )
 from ..core.lattice import TypeLattice
-from ..core.operations import operation_from_dict
+from ..core.operations import SchemaOperation, operation_from_dict
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import trace
 from ..storage.faults import StorageFS
 from ..storage.framing import (
-    DurabilityPolicy,
     FramedRecord,
     frame_payload,
     timed_fsync,
@@ -118,14 +117,13 @@ class ReplicaStore:
         path: str | Path,
         *,
         policy: LatticePolicy | None = None,
-        durability: DurabilityPolicy | None = None,
         fs: StorageFS | None = None,
     ) -> None:
-        # Replicas mirror into any backend too (same URL forms).
-        self.wal = JournalFile(path, durability=durability, fs=fs)
+        # Replicas mirror into any backend too (same URL forms).  A
+        # replica never checkpoints on its own, so it takes no policy.
+        self.wal = JournalFile(path, fs=fs)
         self.path = self.wal.path
         self.policy = policy
-        self.durability = self.wal.durability
         self.fs = self.wal.fs
         self._mutex = threading.Lock()
         self._lattice: TypeLattice
@@ -218,6 +216,13 @@ class ReplicaStore:
     ) -> int:
         """Durably apply one shipped batch; returns records applied.
 
+        Durability before visibility: the whole batch is appended to the
+        local WAL and fsynced once, and only then applied and published.
+        A crash between the two replays it on reload — the same
+        write-ahead contract as the primary.  A failed append or fsync
+        truncates the WAL back to the batch start and changes no
+        in-memory state.
+
         Raises :class:`ReplicationError` for a batch that does not line
         up with our position (reordered/duplicated delivery — refuse,
         never reorder), :class:`CorruptRecordError` for a frame whose
@@ -234,64 +239,66 @@ class ReplicaStore:
                     f"out-of-order batch: stream offers "
                     f"{generation}:{from_index}, replica is at {expected}"
                 )
+            batch = [_decode_frame(text) for text in frames]
             applied = 0
             with trace.span(
                 "replication.replay", records=len(frames),
                 position=str(expected),
             ):
-                for text in frames:
-                    frame = text.rstrip("\n").encode("utf-8") + b"\n"
-                    payload = frame_payload(frame)  # verifies frame CRC
-                    try:
-                        operation = operation_from_dict(payload)
-                    except (ValueError, KeyError, TypeError) as exc:
-                        raise ReplicaDivergedError(
-                            f"shipped record decodes to no operation: {exc}"
-                        ) from exc
-                    # Durability before visibility: land the frame, then
-                    # apply.  A crash between the two replays it on
-                    # reload — same write-ahead contract as the primary.
-                    size_before = (
-                        self.fs.size(self.path)
-                        if self.fs.exists(self.path) else 0
+                offset = (
+                    self.fs.size(self.path)
+                    if self.fs.exists(self.path) else 0
+                )
+                try:
+                    self.fs.append_bytes(
+                        self.path, b"".join(frame for frame, _ in batch)
                     )
+                    timed_fsync(self.fs, self.path)
+                except (OSError, JournalError):
+                    # Roll partial bytes back so the next batch does not
+                    # land on top of a torn line; if even that fails,
+                    # reload() heals it as a torn tail.
                     try:
-                        self.fs.append_bytes(self.path, frame)
-                        if self.durability.sync_appends:
-                            timed_fsync(self.fs, self.path)
-                    except OSError:
-                        # Roll partial bytes back so the next batch does
-                        # not land on top of a torn line; if even that
-                        # fails, reload() heals it as a torn tail.
-                        try:
-                            self.fs.truncate(self.path, size_before)
-                        except OSError:  # pragma: no cover
-                            pass
-                        raise
+                        self.fs.truncate(self.path, offset)
+                    except OSError:  # pragma: no cover
+                        pass
+                    raise
+                for frame, operation in batch:
                     try:
                         operation.apply(self._lattice)
                     except EvolutionError as exc:
-                        # Roll the unapplied frame back out so durable
-                        # state matches the published prefix exactly.
-                        self.fs.truncate(self.path, size_before)
+                        # Roll the unapplied frames back out so durable
+                        # state matches the applied prefix exactly.
+                        self.fs.truncate(self.path, offset)
                         _DIVERGENCES.inc()
                         raise ReplicaDivergedError(
                             f"shipped record rejected by the engine at "
                             f"{self._position}: {exc}"
                         ) from exc
+                    offset += len(frame)
                     self._tail_crc = _crc32(frame, self._tail_crc)
                     self._position = Position(
                         self._position.generation,
                         self._position.index + 1,
                     )
                     applied += 1
-            if applied and self.durability.fsync == "batch":
-                timed_fsync(self.fs, self.path)
             self._snapshot = SchemaSnapshot.capture(
                 self._lattice, self._snapshot
             )
         _REPLAYED.inc(applied)
         return applied
+
+
+def _decode_frame(text: str) -> tuple[bytes, SchemaOperation]:
+    """One shipped frame as WAL bytes plus the operation it carries."""
+    frame = text.rstrip("\n").encode("utf-8") + b"\n"
+    payload = frame_payload(frame)  # verifies frame CRC
+    try:
+        return frame, operation_from_dict(payload)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ReplicaDivergedError(
+            f"shipped record decodes to no operation: {exc}"
+        ) from exc
 
 
 def _crc32(data: bytes, crc: int = 0) -> int:

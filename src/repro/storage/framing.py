@@ -133,16 +133,18 @@ _QUARANTINE_FAILURES = REGISTRY.counter(
 
 @dataclass(frozen=True)
 class DurabilityPolicy:
-    """How hard the storage layer pushes bytes toward the platter.
+    """When the storage layer folds its WAL into a checkpoint.
+
+    Durability itself is not a policy: every appended record is fsynced
+    before the write is acknowledged, and every checkpoint is fsynced
+    before the WAL is truncated.
 
     Attributes
     ----------
     fsync:
-        ``"always"`` — fsync after every record append (each acknowledged
-        operation survives power loss); ``"batch"`` — fsync only at
-        checkpoints and explicit ``sync()`` calls (a crash loses at most
-        the un-synced tail, never consistency); ``"never"`` — leave
-        flushing to the OS entirely.
+        Kept so existing ``DurabilityPolicy(fsync="always")`` calls
+        still construct; ``"always"`` is the only accepted value and
+        nothing reads it.
     checkpoint_every:
         Auto-checkpoint after this many records since the last
         checkpoint (``None`` disables; the ROADMAP's compaction policy).
@@ -151,25 +153,19 @@ class DurabilityPolicy:
         took longer than this budget (``None`` disables).
     """
 
-    fsync: str = "batch"
+    fsync: str = "always"
     checkpoint_every: int | None = None
     replay_budget_seconds: float | None = None
 
     def __post_init__(self) -> None:
-        if self.fsync not in ("always", "batch", "never"):
+        if self.fsync != "always":
             raise ValueError(
-                f"fsync policy must be always/batch/never, not {self.fsync!r}"
+                f"fsync policy {self.fsync!r} is not supported: the "
+                f"'batch' and 'never' policies were removed and every "
+                f"acknowledged write is fsynced"
             )
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
-
-    @property
-    def sync_appends(self) -> bool:
-        return self.fsync == "always"
-
-    @property
-    def sync_checkpoints(self) -> bool:
-        return self.fsync != "never"
 
 
 @dataclass(frozen=True)
@@ -537,9 +533,7 @@ def fence_records(
     return live, fenced
 
 
-def atomic_write_bytes(
-    fs: StorageFS, path: Path, data: bytes, *, sync: bool = True
-) -> None:
+def atomic_write_bytes(fs: StorageFS, path: Path, data: bytes) -> None:
     """Publish ``data`` at ``path`` atomically: temp file, fsync, rename,
     fsync the directory.
 
@@ -555,8 +549,7 @@ def atomic_write_bytes(
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
         fs.write_bytes(tmp, data)
-        if sync:
-            timed_fsync(fs, tmp)
+        timed_fsync(fs, tmp)
         fs.replace(tmp, path)
     except (OSError, JournalError) as exc:
         try:
@@ -569,7 +562,7 @@ def atomic_write_bytes(
             f"publishing {path} failed; the previous version is "
             f"intact: {exc}"
         ) from exc
-    if sync and not fs.durable_rename:
+    if not fs.durable_rename:
         fs.fsync_dir(path.parent if str(path.parent) else Path("."))
 
 
@@ -579,7 +572,6 @@ def write_checkpoint(
     generation: int,
     *,
     fs: StorageFS | None = None,
-    sync: bool = True,
 ) -> None:
     """Atomically publish a fenced checkpoint document (see
     :func:`atomic_write_bytes`)."""
@@ -592,7 +584,6 @@ def write_checkpoint(
         fs or RealFS(),
         path,
         json.dumps(doc, sort_keys=True).encode("utf-8"),
-        sync=sync,
     )
 
 

@@ -12,10 +12,11 @@ corrupt damage taxonomy, and checkpoint generation fencing), plus an
 atomically-replaced snapshot checkpoint at ``<wal>.checkpoint`` that
 truncates the log (classic WAL + checkpoint).
 
-Durability is governed by a :class:`~repro.storage.framing.DurabilityPolicy`
-(fsync per append / per checkpoint / never, plus the auto-checkpoint
-thresholds) and recovery by a mode — ``strict`` raises on corruption,
-``salvage`` quarantines it — both surfaced through
+Every append and every checkpoint is fsynced before it returns, so an
+acknowledged operation survives power loss.  A
+:class:`~repro.storage.framing.DurabilityPolicy` sets only the
+auto-checkpoint thresholds; recovery is governed by a mode — ``strict``
+raises on corruption, ``salvage`` quarantines it — surfaced through
 :meth:`DurableLattice.reopen` and the ``repro recover`` CLI.
 
 :class:`JournalFile` is the only WAL engine in the package and
@@ -179,7 +180,7 @@ class JournalFile:
                 self.repair("strict")
 
     def append(self, operation: SchemaOperation) -> None:
-        """Append one framed operation record (fsync per policy).
+        """Append one framed operation record and fsync it.
 
         Transient storage faults (an fsync EIO, a short write) are
         retried with rollback per :attr:`retry`; exhausted retries trip
@@ -199,10 +200,6 @@ class JournalFile:
             encode_frame(payload, self.generation),
             retry=self.retry,
             latch=self.latch,
-            sync=(
-                (lambda: timed_fsync(self.fs, self.path))
-                if self.durability.sync_appends else None
-            ),
         )
         _WAL_APPENDS.inc()
         _WAL_APPEND_SECONDS.observe(perf_counter() - started)
@@ -315,18 +312,12 @@ class JournalFile:
             self.fence()
         if generation is None:
             generation = self.generation + 1
-        sync = self.durability.sync_checkpoints
         write_checkpoint(
-            self.checkpoint_path,
-            state,
-            generation,
-            fs=self.fs,
-            sync=sync,
+            self.checkpoint_path, state, generation, fs=self.fs
         )
         self._generation = generation
         self.fs.write_bytes(self.path, b"")
-        if sync:
-            timed_fsync(self.fs, self.path)
+        timed_fsync(self.fs, self.path)
         self.since_checkpoint = 0
         self._replay_overran = False
         _WAL_CHECKPOINTS.inc()
@@ -372,11 +363,6 @@ class JournalFile:
             mode,
         ).base
 
-    def sync(self) -> None:
-        """Force the appended records to stable storage (batch policy)."""
-        if self.fs.exists(self.path):
-            timed_fsync(self.fs, self.path)
-
 
 def _replay_operation(journal: EvolutionJournal, record: FramedRecord) -> None:
     journal.apply(record.decoded)
@@ -396,7 +382,7 @@ class DurableLattice:
     The tail is replayed *through* the in-memory journal so history (and
     undo) survive a restart.
 
-    ``durability`` selects the fsync/auto-checkpoint policy and
+    ``durability`` selects the auto-checkpoint policy and
     ``recovery`` the damage response (``"strict"`` raises on corruption,
     ``"salvage"`` quarantines it); the outcome of opening is recorded in
     :attr:`recovery_report`.
@@ -476,10 +462,6 @@ class DurableLattice:
 
     def checkpoint(self) -> None:
         self.file.checkpoint(lattice_to_dict(self.lattice))
-
-    def sync(self) -> None:
-        """Flush appended records to disk (the batch-policy commit point)."""
-        self.file.sync()
 
     @classmethod
     def reopen(

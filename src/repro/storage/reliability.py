@@ -40,6 +40,7 @@ from typing import Callable, TypeVar
 from ..core.errors import CorruptRecordError, DegradedModeError, JournalError
 from ..obs.metrics import REGISTRY
 from .faults import StorageFS
+from .framing import timed_fsync
 
 __all__ = [
     "RetryPolicy",
@@ -220,17 +221,16 @@ def append_record(
     *,
     retry: RetryPolicy,
     latch: DegradedLatch,
-    sync: Callable[[], None] | None = None,
     op: str = "wal-append",
 ) -> None:
     """Durably append ``data`` to ``path``: retried, rolled-back, latched.
 
-    The append (and the caller's ``sync`` step, when given) is retried as
-    one unit under ``retry``.  Before every attempt the file is truncated
-    back to its pre-append size, discarding any partial bytes the
-    previous attempt persisted — a retried short write therefore lands
-    the record exactly once.  Exhausted retries trip ``latch`` and raise
-    :class:`DegradedModeError` chained to the final storage fault.
+    The append and its fsync are retried as one unit under ``retry``.
+    Before every attempt the file is truncated back to its pre-append
+    size, discarding any partial bytes the previous attempt persisted —
+    a retried short write therefore lands the record exactly once.
+    Exhausted retries trip ``latch`` and raise :class:`DegradedModeError`
+    chained to the final storage fault.
     """
     latch.check_writable()
     size_before = fs.size(path) if fs.exists(path) else 0
@@ -239,8 +239,7 @@ def append_record(
         if fs.exists(path) and fs.size(path) != size_before:
             fs.truncate(path, size_before)
         fs.append_bytes(path, data)
-        if sync is not None:
-            sync()
+        timed_fsync(fs, path)
 
     try:
         with_retries(retry, op, attempt)

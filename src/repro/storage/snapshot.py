@@ -140,9 +140,9 @@ def save_lattice(
 ) -> Path:
     """Write a snapshot file atomically; returns the path.
 
-    The snapshot lands via temp-file + rename (through the storage
-    backend's primitives) so a crash mid-save leaves the previous
-    snapshot intact instead of a torn JSON document.
+    The snapshot lands via temp-file, fsync and rename (through the
+    storage backend's primitives) so a crash mid-save leaves the
+    previous snapshot intact instead of a torn JSON document.
     """
     path = Path(path)
     atomic_write_bytes(
@@ -151,7 +151,6 @@ def save_lattice(
         json.dumps(
             lattice_to_dict(lattice), indent=2, sort_keys=True
         ).encode("utf-8"),
-        sync=False,
     )
     return path
 

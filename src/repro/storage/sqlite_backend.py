@@ -15,8 +15,8 @@ Semantics the durability layer leans on:
 * **durable commits** — ``PRAGMA synchronous=FULL``: every commit is on
   stable storage before it returns, so ``fsync_file``/``fsync_dir`` are
   no-ops and ``durable_rename``/``durable_writes`` are true.  The
-  fsync-per-append of ``DurabilityPolicy(fsync="always")`` is subsumed
-  by the commit; the policy still controls *checkpoint cadence*.
+  fsync every WAL append and checkpoint issues is subsumed by the
+  commit.
 * **busy/locked mapped to the retry layer** — sqlite's
   ``database is locked`` / ``busy`` conditions surface as
   ``OSError(EBUSY)``, which is in the retryable family

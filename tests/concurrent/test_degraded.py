@@ -16,10 +16,8 @@ from repro.core.errors import DegradedModeError
 from repro.core.operations import AddType
 from repro.obs import REGISTRY
 from repro.storage.faults import FaultyFS
-from repro.storage.framing import DurabilityPolicy
 from repro.storage.reliability import RetryPolicy, with_retries
 
-ALWAYS = DurabilityPolicy(fsync="always")
 
 #: A fast policy for tests: retries without wall-clock sleeps.
 FAST = RetryPolicy(attempts=3, sleep=lambda _: None)
@@ -114,7 +112,7 @@ class TestTransientFaults:
         REGISTRY.reset()
         fs = FaultyFS(transient_append_failures=2)
         store = ConcurrentObjectbase.open(
-            tmp_path / "wal", durability=ALWAYS, fs=fs, retry=FAST,
+            tmp_path / "wal", fs=fs, retry=FAST,
         )
         store.apply(AddType("T_person"))
         assert not store.degraded
@@ -131,7 +129,7 @@ class TestTransientFaults:
     def test_transient_fsync_failures_absorbed(self, tmp_path):
         fs = FaultyFS(transient_fsync_failures=2)
         store = ConcurrentObjectbase.open(
-            tmp_path / "wal", durability=ALWAYS, fs=fs, retry=FAST,
+            tmp_path / "wal", fs=fs, retry=FAST,
         )
         store.apply(AddType("T_person"))
         assert not store.degraded
@@ -143,7 +141,7 @@ class TestDegradedMode:
         """An fsync that fails on every attempt exhausts the budget."""
         fs = FaultyFS(fail_fsync=True)
         store = ConcurrentObjectbase.open(
-            tmp_path / "wal", durability=ALWAYS, fs=fs, retry=FAST,
+            tmp_path / "wal", fs=fs, retry=FAST,
         )
         with pytest.raises(DegradedModeError):
             store.apply(AddType("T_person"))
@@ -159,7 +157,7 @@ class TestDegradedMode:
         # first write exhausts its budget and latches the store.
         fs = FaultyFS(transient_append_failures=1)
         store = ConcurrentObjectbase.open(
-            tmp_path / "wal", durability=ALWAYS, fs=fs,
+            tmp_path / "wal", fs=fs,
             retry=RetryPolicy.none(),
         )
         with pytest.raises(DegradedModeError) as excinfo:
@@ -195,7 +193,7 @@ class TestDegradedMode:
         REGISTRY.reset()
         fs = FaultyFS(transient_append_failures=5)
         store = ConcurrentObjectbase.open(
-            tmp_path / "wal", durability=ALWAYS, fs=fs, retry=FAST,
+            tmp_path / "wal", fs=fs, retry=FAST,
         )
         with pytest.raises(DegradedModeError):
             store.apply(AddType("T_person"))
@@ -219,7 +217,7 @@ class TestDegradedMode:
 
         fs = FaultyFS(fail_fsync=True)
         store = ConcurrentObjectbase.open(
-            tmp_path / "wal", durability=ALWAYS, fs=fs,
+            tmp_path / "wal", fs=fs,
             retry=RetryPolicy(
                 attempts=2, jitter=0.5, rng=random.Random(11).random,
                 sleep=lambda _: None,

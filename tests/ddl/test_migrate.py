@@ -103,7 +103,6 @@ class TestMigrateTo:
         db = tmp_path / "schema.wal"
         ob = Objectbase.open(db)
         ob.migrate_to(TARGET)
-        ob.sync()
         reopened = Objectbase.open(db)
         assert len(reopened.diff_to(TARGET)) == 0
 

@@ -27,10 +27,8 @@ from repro.replication import (
     ReplicationSource,
 )
 from repro.replication.channel import FAULT_MODES
-from repro.storage.framing import DurabilityPolicy
 from repro.storage.reliability import RetryPolicy
 
-ALWAYS = DurabilityPolicy(fsync="always")
 
 #: The workload: types applied in order on the primary.  A replica
 #: snapshot is a committed prefix iff its applied set is {T_f0..T_fk}.
@@ -72,9 +70,7 @@ def assert_prefix(types: frozenset, base: frozenset) -> int:
 
 @pytest.mark.parametrize("mode", FAULT_MODES)
 def test_fault_matrix(mode, tmp_path):
-    primary = ConcurrentObjectbase.open(
-        tmp_path / "p.wal", durability=ALWAYS
-    )
+    primary = ConcurrentObjectbase.open(tmp_path / "p.wal")
     base = primary.types()
     for name in NAMES:
         primary.apply(AddType(name))
@@ -88,9 +84,7 @@ def test_fault_matrix(mode, tmp_path):
             channel_factory=factory,
             send_timeout=2.0,
         ).start()
-        replica = ReplicaStore(
-            tmp_path / f"r-{mode}-{fault_at}.wal", durability=ALWAYS
-        )
+        replica = ReplicaStore(tmp_path / f"r-{mode}-{fault_at}.wal")
         host, port = hub.address
         client = ReplicationClient(
             replica, host, port,
@@ -122,9 +116,7 @@ def test_fault_matrix(mode, tmp_path):
                 )
             # Durable too: a restart after convergence reloads the same
             # committed prefix from the replica's own WAL.
-            reloaded = ReplicaStore(
-                tmp_path / f"r-{mode}-{fault_at}.wal", durability=ALWAYS
-            )
+            reloaded = ReplicaStore(tmp_path / f"r-{mode}-{fault_at}.wal")
             assert_prefix(reloaded.types(), base)
             assert reloaded.types() == replica.types()
         finally:

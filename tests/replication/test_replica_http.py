@@ -29,10 +29,8 @@ from repro.server import (
     make_server,
     status_for,
 )
-from repro.storage.framing import DurabilityPolicy
 from repro.storage.reliability import RetryPolicy
 
-ALWAYS = DurabilityPolicy(fsync="always")
 
 
 @pytest.fixture
@@ -71,7 +69,7 @@ def http():
 
 def make_replica_service(tmp_path, max_staleness=None):
     """A ReplicaService over an unstarted client (state driven by hand)."""
-    store = ReplicaStore(tmp_path / "r.wal", durability=ALWAYS)
+    store = ReplicaStore(tmp_path / "r.wal")
     clock = [1000.0]
     client = ReplicationClient(
         store, "127.0.0.1", 1, max_staleness=max_staleness,
@@ -220,9 +218,7 @@ class TestFullTopology:
     def test_write_on_primary_becomes_readable_on_replica(
         self, tmp_path, http
     ):
-        primary_store = ConcurrentObjectbase.open(
-            tmp_path / "p.wal", durability=ALWAYS
-        )
+        primary_store = ConcurrentObjectbase.open(tmp_path / "p.wal")
         hub = ReplicationServer(
             ReplicationSource(tmp_path / "p.wal"),
             poll_interval=0.01, heartbeat_interval=0.05,
@@ -231,7 +227,7 @@ class TestFullTopology:
         primary_service.replication = hub
         primary = http(primary_service)
 
-        replica_store = ReplicaStore(tmp_path / "r.wal", durability=ALWAYS)
+        replica_store = ReplicaStore(tmp_path / "r.wal")
         host, port = hub.address
         client = ReplicationClient(
             replica_store, host, port,

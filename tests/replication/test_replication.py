@@ -15,10 +15,8 @@ from repro.replication import (
     ReplicationServer,
     ReplicationSource,
 )
-from repro.storage.framing import DurabilityPolicy
 from repro.storage.reliability import RetryPolicy
 
-ALWAYS = DurabilityPolicy(fsync="always")
 FAST_RETRY = RetryPolicy(
     attempts=3, base_delay=0.01, max_delay=0.05, jitter=0.5
 )
@@ -35,7 +33,7 @@ def wait_until(predicate, timeout=10.0, interval=0.02, message="condition"):
 
 @pytest.fixture
 def primary(tmp_path):
-    store = ConcurrentObjectbase.open(tmp_path / "p.wal", durability=ALWAYS)
+    store = ConcurrentObjectbase.open(tmp_path / "p.wal")
     hub = ReplicationServer(
         ReplicationSource(tmp_path / "p.wal"),
         poll_interval=0.01,
@@ -46,7 +44,7 @@ def primary(tmp_path):
 
 
 def make_replica(tmp_path, hub, name="r.wal", **kwargs):
-    store = ReplicaStore(tmp_path / name, durability=ALWAYS)
+    store = ReplicaStore(tmp_path / name)
     host, port = hub.address
     kwargs.setdefault("retry", FAST_RETRY)
     client = ReplicationClient(store, host, port, **kwargs)
@@ -96,7 +94,7 @@ class TestShipping:
         store.apply(AddType("T_two"))
         # Restart: a fresh store over the same files resumes (the
         # handshake CRC verifies the durable prefix) and catches up.
-        replica2 = ReplicaStore(tmp_path / "r.wal", durability=ALWAYS)
+        replica2 = ReplicaStore(tmp_path / "r.wal")
         assert "T_one" in replica2.types()  # durable across restart
         host, port = hub.address
         client2 = ReplicationClient(
@@ -150,9 +148,7 @@ class TestShipping:
 
 class TestFencing:
     def test_fenced_primary_refuses_handshake(self, tmp_path):
-        store = ConcurrentObjectbase.open(
-            tmp_path / "p.wal", durability=ALWAYS
-        )
+        store = ConcurrentObjectbase.open(tmp_path / "p.wal")
         store.apply(AddType("T_secret"))
         clock = [1000.0]
         lease = FileLease(
@@ -186,9 +182,7 @@ class TestFencing:
 
     def test_replica_refuses_lower_epoch(self, tmp_path):
         """A replica that has synced from epoch N never follows N-1."""
-        store = ConcurrentObjectbase.open(
-            tmp_path / "p.wal", durability=ALWAYS
-        )
+        store = ConcurrentObjectbase.open(tmp_path / "p.wal")
         store.apply(AddType("T_stale"))
         lease = FileLease(tmp_path / "p.wal.lease", owner="a", ttl=60.0)
         lease.acquire()  # epoch 1
@@ -197,7 +191,7 @@ class TestFencing:
             poll_interval=0.01,
         ).start()
         try:
-            replica = ReplicaStore(tmp_path / "r.wal", durability=ALWAYS)
+            replica = ReplicaStore(tmp_path / "r.wal")
             host, port = hub.address
             client = ReplicationClient(
                 replica, host, port, retry=FAST_RETRY
@@ -214,9 +208,7 @@ class TestFencing:
             hub.stop()
 
     def test_writes_propagate_under_an_active_lease(self, tmp_path):
-        store = ConcurrentObjectbase.open(
-            tmp_path / "p.wal", durability=ALWAYS
-        )
+        store = ConcurrentObjectbase.open(tmp_path / "p.wal")
         lease = FileLease(tmp_path / "p.wal.lease", owner="a", ttl=60.0)
         lease.acquire()
         store.set_write_fence(lease.check)

@@ -7,8 +7,8 @@ backend instance (the "restart") in both recovery modes and the
 recovered state must be *prefix-consistent*:
 
 * equal to the state after some prefix of the workload's operations;
-* at least as long as the acknowledged prefix (with ``fsync="always"``
-  an operation whose ``apply`` returned is durable — no silently
+* at least as long as the acknowledged prefix (every append is fsynced,
+  so an operation whose ``apply`` returned is durable — no silently
   dropped valid record);
 * never longer than the full workload (no double-applied tail, which is
   exactly what checkpoint generation fencing prevents).
@@ -32,16 +32,16 @@ from repro.core import (
     AddType,
     prop,
 )
+from repro.core.errors import JournalError
 from repro.core.lattice import TypeLattice
 from repro.core.operations import operation_from_dict
+from repro.obs.metrics import REGISTRY
 from repro.replication import ReplicaStore, ReplicationSource
 from repro.replication.protocol import Position
 from repro.storage.faults import CrashPoint
-from repro.storage.framing import DurabilityPolicy, frame_payload
+from repro.storage.framing import frame_payload
 from repro.storage.journal import DurableLattice, JournalFile
 from repro.storage.snapshot import lattice_from_dict
-
-ALWAYS = DurabilityPolicy(fsync="always")
 
 SCRIPT = [
     AddType("T_person", properties=(prop("person.name", "name"),)),
@@ -111,9 +111,7 @@ class TestDurableLatticeCrashMatrix:
             directory.mkdir()
             scenario["dir"] = directory
             fs.acknowledged = 0
-            durable = DurableLattice(
-                directory / "wal", durability=ALWAYS, fs=fs
-            )
+            durable = DurableLattice(directory / "wal", fs=fs)
             for i, op in enumerate(SCRIPT):
                 durable.apply(op)
                 fs.acknowledged += 1
@@ -135,7 +133,7 @@ class TestDurableLatticeCrashMatrix:
         source = tmp_path / "seed"
         source.mkdir()
         seed_fs = backend.fresh()
-        durable = DurableLattice(source / "wal", durability=ALWAYS, fs=seed_fs)
+        durable = DurableLattice(source / "wal", fs=seed_fs)
         for op in SCRIPT[:3]:
             durable.apply(op)
         expected = durable.lattice.state_fingerprint()
@@ -173,6 +171,21 @@ def published(snapshot: SchemaSnapshot) -> frozenset:
     )
 
 
+def ship_script(tmp_path):
+    """What a primary that checkpointed after two SCRIPT ops ships:
+    ``(history, checkpoint state, generation, frames)``, with the three
+    later ops as frames."""
+    primary = DurableLattice(tmp_path / "primary.wal")
+    primary.apply_all(SCRIPT[:2])
+    primary.checkpoint()
+    primary.apply_all(SCRIPT[2:])
+    source = ReplicationSource(tmp_path / "primary.wal")
+    history = source.state()
+    state, generation = source.checkpoint_state()
+    frames = [frame.decode("utf-8") for frame in history.frames]
+    return history, state, generation, frames
+
+
 def replica_prefixes(history, state) -> dict[tuple, int]:
     """(published schema, position, tail CRC) -> the number of shipped
     units it reflects: 0 before the checkpoint landed, then 1 + k for
@@ -203,14 +216,7 @@ class TestReplicaStoreCrashMatrix:
     """
 
     def test_install_and_apply_matrix(self, backend, tmp_path):
-        primary = DurableLattice(tmp_path / "primary.wal", durability=ALWAYS)
-        primary.apply_all(SCRIPT[:2])
-        primary.checkpoint()
-        primary.apply_all(SCRIPT[2:])
-        source = ReplicationSource(tmp_path / "primary.wal")
-        history = source.state()
-        state, generation = source.checkpoint_state()
-        frames = [frame.decode("utf-8") for frame in history.frames]
+        history, state, generation, frames = ship_script(tmp_path)
         prefixes = replica_prefixes(history, state)
         scenario = {"n": 0}
 
@@ -220,9 +226,7 @@ class TestReplicaStoreCrashMatrix:
             directory.mkdir()
             scenario["dir"] = directory
             fs.acknowledged = 0
-            replica = ReplicaStore(
-                directory / "r.wal", durability=ALWAYS, fs=fs
-            )
+            replica = ReplicaStore(directory / "r.wal", fs=fs)
             replica.install_checkpoint(state, generation)
             fs.acknowledged = 1
             for start, stop in ((0, 2), (2, len(frames))):
@@ -260,7 +264,7 @@ class TestFsyncFailure:
 
         fs = backend.faulty(fail_fsync=True)
         durable = DurableLattice(
-            tmp_path / "wal", durability=ALWAYS, fs=fs,
+            tmp_path / "wal", fs=fs,
             retry=RetryPolicy(attempts=3, sleep=lambda _: None),
         )
         with pytest.raises(DegradedModeError, match="degraded"):
@@ -280,7 +284,7 @@ class TestFsyncFailure:
 
         fs = backend.faulty(transient_fsync_failures=2)
         durable = DurableLattice(
-            tmp_path / "wal", durability=ALWAYS, fs=fs,
+            tmp_path / "wal", fs=fs,
             retry=RetryPolicy(attempts=3, sleep=lambda _: None),
         )
         durable.apply(SCRIPT[0])
@@ -288,18 +292,37 @@ class TestFsyncFailure:
         reopened = DurableLattice.reopen(tmp_path / "wal", fs=backend.fresh())
         assert "T_person" in reopened.lattice
 
-    def test_batch_policy_defers_fsync_to_sync(self, backend, tmp_path):
-        fs = backend.faulty(fail_fsync=True)
-        durable = DurableLattice(
-            tmp_path / "wal",
-            durability=DurabilityPolicy(fsync="batch"),
-            fs=fs,
-        )
-        durable.apply(SCRIPT[0])  # no fsync under batch: no error
-        from repro.core import JournalError
+    def test_replica_fsyncs_each_batch_once(self, backend, tmp_path):
+        """A shipped batch of three frames costs one fsync, not three."""
+        _, state, generation, frames = ship_script(tmp_path)
+        replica = ReplicaStore(tmp_path / "r.wal", fs=backend.fresh())
+        replica.install_checkpoint(state, generation)
 
+        def fsyncs():
+            return REGISTRY.counter_samples().get("repro_wal_fsyncs_total", 0)
+
+        before = fsyncs()
+        assert replica.apply_records(generation, 0, frames) == len(frames)
+        assert fsyncs() - before == 1
+
+    def test_replica_fsync_failure_changes_nothing(self, backend, tmp_path):
+        """A batch whose fsync fails is neither applied nor published,
+        and the WAL is rolled back to the batch start."""
+        _, state, generation, frames = ship_script(tmp_path)
+        fs = backend.faulty()
+        replica = ReplicaStore(tmp_path / "r.wal", fs=fs)
+        replica.install_checkpoint(state, generation)
+        before = (replica.position, replica.tail_crc, replica.snapshot)
+
+        fs.fail_fsync = True
         with pytest.raises(JournalError, match="fsync"):
-            durable.sync()
+            replica.apply_records(generation, 0, frames)
+        assert (replica.position, replica.tail_crc, replica.snapshot) \
+            == before
+        reopened = ReplicaStore(tmp_path / "r.wal", fs=backend.fresh())
+        assert reopened.position == before[0]
+        assert reopened.tail_crc == before[1]
+        assert published(reopened.snapshot) == published(before[2])
 
 
 class TestConcurrentWritersCrashMatrix:
@@ -333,7 +356,7 @@ class TestConcurrentWritersCrashMatrix:
             directory.mkdir()
             fs = backend.faulty(crash_at=crash_at)
             store = ConcurrentObjectbase.open(
-                directory / "wal", durability=ALWAYS, fs=fs,
+                directory / "wal", fs=fs,
                 lock_timeout=30.0,
             )
             acknowledged: list[str] = []
@@ -401,9 +424,7 @@ class TestTornRenameMatrix:
             fs = backend.faulty(crash_at=crash_at, torn_replace=True)
             fs.acknowledged = 0
             try:
-                durable = DurableLattice(
-                    directory / "wal", durability=ALWAYS, fs=fs
-                )
+                durable = DurableLattice(directory / "wal", fs=fs)
                 for i, op in enumerate(SCRIPT):
                     durable.apply(op)
                     fs.acknowledged += 1
@@ -465,9 +486,7 @@ class TestBackendTornAppendMatrix:
             directory.mkdir()
             scenario["dir"] = directory
             fs.acknowledged = 0
-            durable = DurableLattice(
-                directory / "wal", durability=ALWAYS, fs=fs
-            )
+            durable = DurableLattice(directory / "wal", fs=fs)
             for i, op in enumerate(SCRIPT):
                 durable.apply(op)
                 fs.acknowledged += 1
@@ -507,12 +526,12 @@ class TestBackendTornAppendMatrix:
 
 
 def reorder_workload_factory(tmp_path, scenario):
-    """A batch-policy workload with explicit sync barriers.
+    """A workload whose every ``apply`` is its own fsync barrier.
 
-    Under ``fsync="batch"`` an append is acknowledged only once
-    ``sync()`` returns, so the acknowledged count advances at the
-    barriers (and at checkpoints, which are their own barrier) — the
-    discipline the reorder fault model exists to test.
+    Each append is fsynced before ``apply`` returns, so the acknowledged
+    count advances after every operation; the checkpoint in the middle
+    is a barrier too (checkpoint file and truncated WAL both fsynced) —
+    the discipline the reorder fault model exists to test.
     """
 
     def workload(fs):
@@ -521,21 +540,12 @@ def reorder_workload_factory(tmp_path, scenario):
         directory.mkdir()
         scenario["dir"] = directory
         fs.acknowledged = 0
-        durable = DurableLattice(
-            directory / "wal",
-            durability=DurabilityPolicy(fsync="batch"),
-            fs=fs,
-        )
+        durable = DurableLattice(directory / "wal", fs=fs)
         for i, op in enumerate(SCRIPT):
             durable.apply(op)
-            if i == 1:
-                durable.sync()  # explicit barrier: first two ops durable
-                fs.acknowledged = 2
+            fs.acknowledged = i + 1
             if i == 2:
-                durable.checkpoint()  # checkpoints are their own barrier
-                fs.acknowledged = 3
-        durable.sync()
-        fs.acknowledged = len(SCRIPT)
+                durable.checkpoint()
         return fs.acknowledged
 
     return workload
@@ -585,7 +595,7 @@ class TestDiskFull:
 
         fs = backend.faulty(enospc_appends=5)
         durable = DurableLattice(
-            tmp_path / "wal", durability=ALWAYS, fs=fs,
+            tmp_path / "wal", fs=fs,
             retry=RetryPolicy(attempts=3, sleep=lambda _: None),
         )
         with pytest.raises(DegradedModeError):
@@ -601,7 +611,7 @@ class TestDiskFull:
 
         fs = backend.faulty(enospc_appends=1)
         durable = DurableLattice(
-            tmp_path / "wal", durability=ALWAYS, fs=fs,
+            tmp_path / "wal", fs=fs,
             retry=RetryPolicy(attempts=3, sleep=lambda _: None),
         )
         durable.apply(SCRIPT[0])  # space freed up: the retry lands
@@ -616,9 +626,7 @@ class TestDiskFull:
         from repro.storage.framing import load_checkpoint
 
         fs = backend.faulty()
-        durable = DurableLattice(
-            tmp_path / "wal", durability=ALWAYS, fs=fs
-        )
+        durable = DurableLattice(tmp_path / "wal", fs=fs)
         for op in SCRIPT[:2]:
             durable.apply(op)
         durable.checkpoint()  # the good checkpoint

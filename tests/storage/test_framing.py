@@ -232,16 +232,20 @@ class TestCheckpoints:
 class TestDurabilityPolicy:
     def test_defaults(self):
         policy = DurabilityPolicy()
-        assert policy.fsync == "batch"
-        assert not policy.sync_appends and policy.sync_checkpoints
+        assert policy.fsync == "always"  # every acknowledged write is durable
+        assert policy.checkpoint_every is None
+        assert policy.replay_budget_seconds is None
 
     def test_always(self):
-        policy = DurabilityPolicy(fsync="always")
-        assert policy.sync_appends and policy.sync_checkpoints
+        assert DurabilityPolicy(fsync="always") == DurabilityPolicy()
+
+    def test_batch(self):
+        with pytest.raises(ValueError, match="'batch' is not supported.*removed"):
+            DurabilityPolicy(fsync="batch")
 
     def test_never(self):
-        policy = DurabilityPolicy(fsync="never")
-        assert not policy.sync_appends and not policy.sync_checkpoints
+        with pytest.raises(ValueError, match="'never' is not supported.*removed"):
+            DurabilityPolicy(fsync="never")
 
     def test_bad_fsync_rejected(self):
         with pytest.raises(ValueError, match="fsync policy"):

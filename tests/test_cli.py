@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 @pytest.fixture
@@ -501,11 +501,20 @@ class TestBackendUrls:
 
 
 class TestDurabilityFlags:
-    def test_fsync_always(self, db, capsys):
-        assert main(["--db", db, "--fsync", "always",
-                     "add-type", "T_a"]) == 0
-        assert run(db, "show") == 0
-        assert "T_a" in capsys.readouterr().out
+    def test_fsync_is_an_unknown_option(self, db, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--db", db, "--fsync=always", "add-type", "T_a"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fsync" in capsys.readouterr().err
+        assert "--fsync" not in build_parser().format_help()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_bad_checkpoint_every_is_a_usage_error(self, db, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["--db", db, "--checkpoint-every", value, "init"])
+        assert exc.value.code == 2
+        assert "--checkpoint-every" in capsys.readouterr().err
+        assert not Path(db).exists()
 
     def test_checkpoint_every_triggers_auto_checkpoint(self, db, capsys):
         assert main(["--db", db, "--checkpoint-every", "1",
