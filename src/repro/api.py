@@ -77,7 +77,7 @@ from .ddl.differ import diff_schemas, schema_from
 from .ddl.printer import print_schema
 from .obs.metrics import REGISTRY
 from .obs.tracing import trace
-from .staticcheck.analyzer import AnalysisReport, analyze
+from .staticcheck.analyzer import AnalysisReport, analyze, plan_rule_ids
 from .staticcheck.plan import EvolutionPlan
 from .staticcheck.registry import Severity
 from .storage.faults import StorageFS
@@ -87,6 +87,7 @@ from .storage.reliability import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ddl.ast import SchemaDecl
+    from .staticcheck.symbolic import PlanTrace
 
 __all__ = [
     "Objectbase",
@@ -187,15 +188,18 @@ def run_lint_gate(
     ``repro schema migrate`` CLI, and the server's ``POST /v1/migrate``.
     Only *plan-scope* findings (``step is not None``) can veto: a
     pre-existing schema-state advisory must not block every migration.
+    So only the plan-scope rules run, and the report counts plan
+    findings only; ``repro lint --plan`` runs the whole catalogue.
     Raises :class:`~repro.core.errors.LintRejectedError` (the offending
     plan rides on its ``.plan`` attribute) when findings reach the
     ``lint`` threshold (``"off"``/``"info"``/``"warn"``/``"error"``).
+    The report carries the plan's symbolic trace (``report.trace``).
     """
     if lint not in MIGRATE_LINT_MODES:
         raise ValueError(
             f"lint must be one of {MIGRATE_LINT_MODES}, not {lint!r}"
         )
-    report = analyze(lattice, plan)
+    report = analyze(lattice, plan, select=plan_rule_ids())
     if lint == "off":
         return report
     threshold = _LINT_THRESHOLDS[lint]
@@ -509,7 +513,7 @@ class Objectbase:
         dry_run: bool = False,
         verify_on_commit: bool = True,
         lint: str = "error",
-        gate: "Callable[[TypeLattice, EvolutionPlan], None] | None" = None,
+        gate: "Callable[[TypeLattice, PlanTrace], None] | None" = None,
     ) -> MigrationResult:
         """Evolve the schema to match a declared target (diff + apply).
 
@@ -525,9 +529,10 @@ class Objectbase:
         the objectbase.  ``dry_run=True`` stops after diff + lint and
         returns the unapplied plan.  ``verify_on_commit`` is passed to
         the applying :meth:`batch`.  ``gate``, if given, receives the
-        live lattice and the computed plan after the lint gate passed
-        and before anything is mutated; raising from it aborts the
-        migration (the server's interference check rides on this).
+        live lattice and the lint gate's symbolic trace of the computed
+        plan after the lint gate passed and before anything is mutated;
+        raising from it aborts the migration (the server's interference
+        check rides on this, reusing the trace).
         """
         with trace.span("migrate", dry_run=dry_run, lint=lint) as span:
             plan = self.diff_to(target)
@@ -538,7 +543,7 @@ class Objectbase:
                 _MIGRATIONS.labels(outcome="lint-rejected").inc()
                 raise
             if gate is not None and not dry_run:
-                gate(self.lattice, plan)
+                gate(self.lattice, report.trace)
             if dry_run or not plan.operations:
                 outcome = "dry-run" if dry_run else "noop"
                 _MIGRATIONS.labels(outcome=outcome).inc()

@@ -22,6 +22,7 @@ subcommand is one of the paper's operations or inspections::
     python -m repro --db schema.wal render      # ASCII lattice
     python -m repro --db schema.wal dot         # Graphviz output
     python -m repro --db schema.wal tables      # Tables 1-3
+    python -m repro --db schema.wal undo        # revert the last operation
     python -m repro --db schema.wal checkpoint  # WAL -> snapshot
     python -m repro --db schema.wal recover --mode salvage
     python -m repro --db schema.wal stats --plan plan.json --format prom
@@ -261,6 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("normalize", help="rewrite Pe/Ne to the minimal "
                                      "declarations (drops the insurance!)")
     sub.add_parser("history", help="show the journaled operations")
+    sub.add_parser("undo", help="revert the most recent journaled "
+                                "operation via its recorded inverse")
 
     p = sub.add_parser("impact", help="dry-run an operation: "
                                       "impact <drop-type|drop-edge> args...")
@@ -802,6 +805,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             for entry in entries:
                 print(f"{entry.seq:4d}  {entry.operation.code:<7} "
                       f"{entry.operation.describe()}")
+        elif args.command == "undo":
+            entry = ob.undo()
+            print(f"undone: {entry.operation.describe()}")
         elif args.command == "impact":
             if args.what == "drop-type":
                 op = DropType(args.args[0])

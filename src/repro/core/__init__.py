@@ -50,6 +50,7 @@ from .errors import (
     EvolutionError,
     FrozenTypeError,
     JournalError,
+    NothingToUndoError,
     OperationRejected,
     PlanError,
     PointednessViolationError,
@@ -64,7 +65,6 @@ from .history import EvolutionJournal, JournalEntry
 from .impact import ImpactReport, analyze_impact
 from .identity import Oid, OidGenerator, ReferenceMap
 from .lattice import TypeLattice, build_figure1_lattice
-from .lint import LINT_RULES, LintFinding, lint_lattice
 from .normalize import (
     NormalizationReport,
     is_normalized,
@@ -159,9 +159,6 @@ __all__ = [
     "TransactionError",
     "ImpactReport",
     "analyze_impact",
-    "LintFinding",
-    "lint_lattice",
-    "LINT_RULES",
     # algebra & engines
     "derive_fixpoint",
     "comparable",
@@ -206,4 +203,5 @@ __all__ = [
     "FrozenTypeError",
     "JournalError",
     "CorruptRecordError",
+    "NothingToUndoError",
 ]

@@ -52,6 +52,7 @@ __all__ = [
     "FrozenTypeError",
     "JournalError",
     "CorruptRecordError",
+    "NothingToUndoError",
     "PlanError",
     "PlanFormatError",
     "DDLError",
@@ -233,6 +234,18 @@ class CorruptRecordError(JournalError):
     """
 
     code: ClassVar[str] = "wal-corrupt-record"
+
+
+class NothingToUndoError(JournalError):
+    """``undo`` was asked for with no operation left to revert.
+
+    A request the history cannot serve, not damage: the journal is
+    intact, so the code is not ``journal-corrupt``.  It stays a
+    :class:`JournalError` so existing ``except JournalError`` callers of
+    ``undo`` keep working.
+    """
+
+    code: ClassVar[str] = "nothing-to-undo"
 
 
 class PlanError(SchemaError):

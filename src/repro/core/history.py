@@ -24,7 +24,12 @@ from typing import Callable, Iterable
 from ..obs.metrics import REGISTRY
 from .axioms import assert_all
 from .config import LatticePolicy
-from .errors import EvolutionError, JournalError, error_code
+from .errors import (
+    EvolutionError,
+    JournalError,
+    NothingToUndoError,
+    error_code,
+)
 from .lattice import TypeLattice
 from .operations import (
     OperationResult,
@@ -174,10 +179,10 @@ class EvolutionJournal:
 
         The undone entry is removed from the history and pushed on the
         redo stack.  Undoing past the beginning raises
-        :class:`JournalError`.
+        :class:`NothingToUndoError`.
         """
         if not self._entries:
-            raise JournalError("nothing to undo")
+            raise NothingToUndoError("nothing to undo")
         entry = self._entries.pop()
         for op in entry.inverse:
             op.apply(self._lattice)

@@ -101,18 +101,23 @@ class SchemaDecl:
 
     types: tuple[TypeDecl, ...] = ()
     name: str = ""
+    #: name -> declaration, built once: ``get`` and ``in`` are O(1).
+    _by_name: dict[str, TypeDecl] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
+        by_name: dict[str, TypeDecl] = {}
         for t in self.types:
-            if t.name in seen:
+            if t.name in by_name:
                 raise DDLValidationError(
                     f"type {t.name!r} is declared more than once"
                 )
-            seen.add(t.name)
+            by_name[t.name] = t
         object.__setattr__(
             self, "types", tuple(sorted(self.types, key=lambda t: t.name))
         )
+        object.__setattr__(self, "_by_name", by_name)
 
     def __iter__(self) -> Iterator[TypeDecl]:
         return iter(self.types)
@@ -121,16 +126,13 @@ class SchemaDecl:
         return len(self.types)
 
     def __contains__(self, name: str) -> bool:
-        return any(t.name == name for t in self.types)
+        return name in self._by_name
 
     def get(self, name: str) -> TypeDecl | None:
-        for t in self.types:
-            if t.name == name:
-                return t
-        return None
+        return self._by_name.get(name)
 
     def type_names(self) -> frozenset[str]:
-        return frozenset(t.name for t in self.types)
+        return frozenset(self._by_name)
 
     def to_dict(self) -> dict:
         return {

@@ -69,10 +69,11 @@ failure, so clients branch on the same codes the CLI exits with.
 **Response path.**  A GET reads the published snapshot once and derives
 its body and ``X-Schema-Generation`` from that one value, so a write
 committed meanwhile cannot make the header name another generation.
-The ``GET /v1/types`` body is encoded once per published snapshot and
-reused until the next publish.  Every response -- status line, headers
-and body -- leaves in one write on a socket with ``TCP_NODELAY`` set,
-so no part of it waits for the client's delayed ACK.  A request body
+The ``GET /v1/types`` and ``GET /v1/schema`` bodies are encoded once
+per published snapshot and reused until the next publish.  Every
+response -- status line, headers and body -- leaves in one write on a
+socket with ``TCP_NODELAY`` set, so no part of it waits for the
+client's delayed ACK.  A request body
 is read before the request is answered, whatever the answer, so the
 next request on a keep-alive connection starts where it should.
 
@@ -86,8 +87,10 @@ before the process exits.
 write lock* against exactly the schema it would execute against, before
 anything is mutated.  Plan-scope findings at or above the configured
 threshold veto the write with ``409 lint-rejected`` and the diagnostics
-in the body.  A batch may additionally declare ``"expect_generation"``:
-the snapshot generation the client planned against.  The service keeps
+in the body; only those can veto, so only the plan-scope rules run, over
+one symbolic run of the write that also yields its effect summaries.
+A batch may additionally declare ``"expect_generation"``: the snapshot
+generation the client planned against.  The service keeps
 the effect summaries of recently committed writes; if any write
 committed at or after that generation has effects overlapping the
 incoming operations', the request is rejected with ``409
@@ -130,10 +133,11 @@ from .core.operations import operation_from_dict
 from .ddl.parser import parse_schema
 from .obs.metrics import PROMETHEUS_CONTENT_TYPE, REGISTRY
 from .obs.tracing import trace
-from .staticcheck.analyzer import analyze
+from .staticcheck.analyzer import analyze, plan_rule_ids
 from .staticcheck.effects import conflict_witness, plan_summaries
 from .staticcheck.plan import EvolutionPlan
 from .staticcheck.registry import Severity
+from .staticcheck.symbolic import symbolic_run
 
 __all__ = [
     "ObjectbaseService",
@@ -250,6 +254,8 @@ class ObjectbaseService:
         #: (snapshot, encoded ``GET /v1/types`` body) of the last
         #: snapshot listed; compared by identity.
         self._types_body: tuple[SchemaSnapshot, bytes] | None = None
+        #: (snapshot, encoded ``GET /v1/schema`` DDL text), likewise.
+        self._schema_body: tuple[SchemaSnapshot, bytes] | None = None
 
     # -- the admission-time lint gate -------------------------------------
 
@@ -266,15 +272,22 @@ class ObjectbaseService:
             raise ValueError('"expect_generation" must be an integer')
         if self.lint == "off" and expect is None:
             return None, lambda: None
+        plan = EvolutionPlan(ops, name="request")
         pending: list[tuple[int, list]] = []
 
         def gate(lattice) -> None:
             _LINT_GATE_RUNS.inc()
-            summaries = plan_summaries(lattice, ops)
+            # One symbolic run serves the lint rules and the summaries.
+            if self.lint != "off":
+                report = analyze(lattice, plan, select=plan_rule_ids())
+                trace = report.trace
+            else:
+                report, trace = None, symbolic_run(lattice, plan)
+            summaries = plan_summaries(trace)
             if expect is not None:
                 self._check_interference(lattice, summaries, expect)
-            if self.lint != "off":
-                self._check_lint(lattice, ops)
+            if report is not None:
+                self._check_lint(report)
             pending.append((lattice.generation, summaries))
 
         def record() -> None:
@@ -283,14 +296,13 @@ class ObjectbaseService:
 
         return gate, record
 
-    def _check_lint(self, lattice, ops: list) -> None:
+    def _check_lint(self, report) -> None:
         """Veto when plan-scope findings reach the configured threshold.
 
         Only *plan* findings gate: pre-existing schema-state advisories
         (a shadowed name that was already there) must not block every
-        subsequent write.
+        subsequent write, so the gate runs the plan-scope rules only.
         """
-        report = analyze(lattice, EvolutionPlan(ops, name="request"))
         threshold = (
             Severity.ERROR if self.lint == "error" else Severity.WARNING
         )
@@ -471,12 +483,17 @@ class ObjectbaseService:
             "changed": sum(1 for r in results if r.changed),
         }
 
-    def schema(self, snap: SchemaSnapshot) -> str:
-        """The canonical DDL text of ``snap``."""
-        from .ddl.differ import schema_from
-        from .ddl.printer import print_schema
+    def schema(self, snap: SchemaSnapshot) -> bytes:
+        """The canonical DDL text of ``snap``, UTF-8 encoded once per
+        published snapshot, like :meth:`list_types`."""
+        cached = self._schema_body
+        if cached is None or cached[0] is not snap:
+            from .ddl.differ import schema_from
+            from .ddl.printer import print_schema
 
-        return print_schema(schema_from(snap))
+            body = print_schema(schema_from(snap)).encode("utf-8")
+            cached = self._schema_body = (snap, body)
+        return cached[1]
 
     def migrate(self, body: dict) -> tuple[int, dict]:
         """Declarative migration: differ + lint gate under the write lock.
@@ -519,8 +536,9 @@ class ObjectbaseService:
         """The interference/effect-recording gate for :meth:`migrate`.
 
         Unlike :meth:`_make_gate`, the operations are not known until
-        the differ has run under the lock — the gate receives the
-        computed plan from :meth:`~repro.api.Objectbase.migrate_to`.
+        the differ has run under the lock — the gate receives the lint
+        gate's symbolic trace of the computed plan from
+        :meth:`~repro.api.Objectbase.migrate_to`.
         """
         if expect is not None and (
             isinstance(expect, bool) or not isinstance(expect, int)
@@ -528,8 +546,8 @@ class ObjectbaseService:
             raise ValueError('"expect_generation" must be an integer')
         pending: list[tuple[int, list]] = []
 
-        def gate(lattice, plan) -> None:
-            summaries = plan_summaries(lattice, list(plan.operations))
+        def gate(lattice, trace) -> None:
+            summaries = plan_summaries(trace)
             if expect is not None:
                 self._check_interference(lattice, summaries, expect)
             pending.append((lattice.generation, summaries))
@@ -797,7 +815,7 @@ class _Handler(BaseHTTPRequestHandler):
                 if route == "/v1/schema":
                     self._send(
                         200,
-                        service.schema(snap).encode("utf-8"),
+                        service.schema(snap),
                         content_type="text/plain; charset=utf-8",
                         headers=headers,
                     )

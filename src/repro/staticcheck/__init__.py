@@ -23,7 +23,13 @@ Entry point::
         print(finding)
 """
 
-from .analyzer import AnalysisContext, AnalysisReport, analyze, analyze_schema
+from .analyzer import (
+    AnalysisContext,
+    AnalysisReport,
+    analyze,
+    analyze_schema,
+    plan_rule_ids,
+)
 from .effects import (
     EffectSummary,
     analyze_pair,
@@ -63,6 +69,7 @@ from .symbolic import PlanTrace, StepOutcome, symbolic_run
 __all__ = [
     "analyze",
     "analyze_schema",
+    "plan_rule_ids",
     "AnalysisContext",
     "AnalysisReport",
     "EvolutionPlan",

@@ -36,7 +36,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.lattice import TypeLattice
     from .plan import EvolutionPlan
 
-__all__ = ["AnalysisContext", "AnalysisReport", "analyze", "analyze_schema"]
+__all__ = [
+    "AnalysisContext",
+    "AnalysisReport",
+    "analyze",
+    "analyze_schema",
+    "plan_rule_ids",
+]
 
 logger = logging.getLogger(__name__)
 
@@ -203,12 +209,22 @@ def analyze(
     )
 
 
+def plan_rule_ids() -> tuple[str, ...]:
+    """The ids of the registered plan-scope rules.
+
+    The admission gates select exactly these: only plan findings (``step
+    is not None``) can veto a write, so the schema-scope rules would run
+    over the whole lattice for findings the gate throws away.
+    """
+    return tuple(r.rule_id for r in REGISTRY if r.scope == "plan")
+
+
 def analyze_schema(
     lattice: "TypeLattice",
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
 ) -> tuple[Diagnostic, ...]:
-    """Schema-scope rules only — the legacy ``lint_lattice`` surface."""
+    """Schema-scope rules only: the advisory lint of one lattice state."""
     schema_ids = tuple(r.rule_id for r in REGISTRY if r.scope == "schema")
     wanted = schema_ids if select is None else tuple(select)
     report = analyze(lattice, select=wanted, ignore=ignore)

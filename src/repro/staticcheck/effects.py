@@ -59,7 +59,7 @@ admission-time interference gate (``repro serve --lint``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from ..core.config import EssentialityDefault
 from ..core.errors import SchemaError
@@ -75,7 +75,7 @@ from ..core.operations import (
 )
 from ..obs.metrics import REGISTRY as _METRICS
 from .registry import Diagnostic, Severity
-from .symbolic import symbolic_run
+from .symbolic import PlanTrace, symbolic_run
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.lattice import TypeLattice
@@ -153,13 +153,23 @@ class EffectSummary:
 
 def _cone(lattice: "TypeLattice", name: str) -> set[Cell]:
     """Derived-term cells dirtied by a change at ``name``: the type and
-    its transitive subtypes, excluding the base type ``⊥``."""
-    if name not in lattice:
-        return {("derived", name)}
-    base = lattice.base
-    cells = {("derived", t) for t in lattice.all_subtypes(name) if t != base}
-    cells.add(("derived", name))
-    return cells
+    its transitive subtypes, excluding the base type ``⊥``.
+
+    The subtypes are found by walking the inverse ``Pe`` index down from
+    ``name`` (``s`` is below ``name`` exactly when ``name ∈ PL(s)``), so
+    the cost is the cone's, not the lattice's.
+    """
+    below: set[str] = set()
+    if name in lattice:
+        stack = [name]
+        while stack:
+            for s in lattice.essential_subtypes(stack.pop()):
+                if s not in below:
+                    below.add(s)
+                    stack.append(s)
+        below.discard(lattice.base)
+    below.add(name)
+    return {("derived", t) for t in below}
 
 
 def _edge_cell(lattice: "TypeLattice", t: str, s: str) -> Cell | None:
@@ -310,16 +320,13 @@ def ops_commute(
     )
 
 
-def plan_summaries(
-    lattice: "TypeLattice", plan: "EvolutionPlan | Iterable[SchemaOperation]"
-) -> list[EffectSummary]:
-    """Per-step summaries of a whole plan, each evaluated at the symbolic
-    state its step actually sees (never mutates ``lattice``)."""
-    from .plan import EvolutionPlan
+def plan_summaries(trace: PlanTrace) -> list[EffectSummary]:
+    """Per-step summaries of a symbolically executed plan, each evaluated
+    at the state its step actually sees.
 
-    if not isinstance(plan, EvolutionPlan):
-        plan = EvolutionPlan(plan)
-    trace = symbolic_run(lattice, plan)
+    Takes the trace rather than the plan so a caller that also analyzes
+    the plan (the admission gates) runs one symbolic execution for both.
+    """
     return [effect_summary(step.before, step.operation) for step in trace]
 
 
@@ -343,8 +350,8 @@ def analyze_pair(
     from .analyzer import AnalysisReport
 
     _PAIR_RUNS.inc()
-    sums_a = plan_summaries(lattice, plan_a)
-    sums_b = plan_summaries(lattice, plan_b)
+    sums_a = plan_summaries(symbolic_run(lattice, plan_a))
+    sums_b = plan_summaries(symbolic_run(lattice, plan_b))
     name_a = plan_a.name or "plan A"
     name_b = plan_b.name or "plan B"
     diagnostics: list[Diagnostic] = []

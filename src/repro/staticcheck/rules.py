@@ -3,8 +3,8 @@
 Two rule scopes:
 
 * **schema** rules look at one lattice state (the final symbolic state
-  when a plan is analyzed).  The five of them are the historic
-  ``repro.core.lint`` advisory checks, migrated into the registry.
+  when a plan is analyzed).  The five of them are the advisory schema
+  lint checks.
 * **plan** rules look at the whole symbolic execution trace and flag
   hazards no single-state check can see: doomed operations, conflicts a
   later step introduces, Orion-vs-TIGUKAT order-dependence divergence
@@ -19,9 +19,10 @@ catalogue in ``docs/staticcheck.md`` is written from these fields.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..core.errors import SchemaError
+from ..core.impact import changed_types
 from ..core.operations import (
     AddType,
     DropEssentialProperty,
@@ -41,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["SCHEMA_RULE_IDS", "PLAN_RULE_IDS"]
 
-#: The migrated ``core.lint`` rules, in their historic order.
+#: The schema-scope lint rules, in their historic order.
 SCHEMA_RULE_IDS = (
     "redundant-essential-supertype",
     "redundant-essential-property",
@@ -74,7 +75,7 @@ _DESTRUCTIVE = (
 
 
 # ----------------------------------------------------------------------
-# Schema-state rules (migrated from repro.core.lint)
+# Schema-state rules
 # ----------------------------------------------------------------------
 
 
@@ -267,12 +268,35 @@ def _order_dependence(ctx: "AnalysisContext") -> Iterator[Diagnostic]:
         )
 
 
-def _conflicts(lattice: "TypeLattice") -> frozenset[tuple[str, str]]:
-    return frozenset(
-        (t, name)
-        for t in lattice.types()
-        for name in find_name_conflicts_minimal(lattice, t)
-    )
+def _new_conflicts(
+    before: "TypeLattice", after: "TypeLattice", t: str
+) -> list[str]:
+    """Names that denote two or more properties in ``I(t)`` after a step
+    but not before it.
+
+    A name can only become ambiguous when a property carrying it enters
+    ``I(t)``, so only those names are counted, on both sides.  (Over
+    ``I(t)`` this is :func:`~repro.orion.conflict.find_name_conflicts_minimal`:
+    ``N(t)`` and the interfaces of ``P(t)`` make up ``I(t)``.)
+    """
+    new_i = after.interface(t)
+    old_i = before.interface(t) if t in before else frozenset()
+    names = {p.name for p in new_i - old_i}
+    if not names:
+        return []
+
+    def keys(interface: frozenset) -> dict[str, set[str]]:
+        out: dict[str, set[str]] = {}
+        for p in interface:
+            if p.name in names:
+                out.setdefault(p.name, set()).add(p.semantics)
+        return out
+
+    new_keys, old_keys = keys(new_i), keys(old_i)
+    return [
+        name for name, sems in new_keys.items()
+        if len(sems) > 1 and len(old_keys.get(name, ())) < 2
+    ]
 
 
 @rule(
@@ -287,18 +311,22 @@ def _conflicts(lattice: "TypeLattice") -> frozenset[tuple[str, str]]:
     fixit="rename one of the colliding properties before this step",
 )
 def _late_name_conflicts(ctx: "AnalysisContext") -> Iterator[Diagnostic]:
-    before = _conflicts(ctx.trace.initial)
+    # The conflicts of t are a function of I(t): only the types a step
+    # touched can gain one.
     for step in ctx.trace:
         if not step.changed:
             continue
-        after = _conflicts(step.after)
-        for t, name in sorted(after - before):
+        new = [
+            (t, name)
+            for t in step.touched if t in step.after
+            for name in _new_conflicts(step.before, step.after, t)
+        ]
+        for t, name in sorted(new):
             yield Diagnostic(
                 "", Severity.WARNING, "", step=step.index, subject=t,
                 message=f"{step.operation.describe()} introduces a name "
                         f"conflict: {name!r} becomes ambiguous in I({t})",
             )
-        before = after
 
 
 @rule(
@@ -353,10 +381,14 @@ def _drop_readd(ctx: "AnalysisContext") -> Iterator[Diagnostic]:
             dropped_at.pop(op.name)
 
 
-def _redundancies(lattice: "TypeLattice") -> frozenset[tuple]:
+def _redundancies(
+    lattice: "TypeLattice", types: Iterable[str]
+) -> frozenset[tuple]:
     base, root = lattice.base, lattice.root
     out: set[tuple] = set()
-    for t in lattice.types():
+    for t in types:
+        if t not in lattice:
+            continue
         if t != base:
             for s in lattice.pe(t) - lattice.p(t):
                 if s != root:
@@ -380,13 +412,16 @@ def _redundancy_introduced(ctx: "AnalysisContext") -> Iterator[Diagnostic]:
     # Accepted steps, not derived-changed ones: adding a dominated edge
     # alters Pe while leaving every derived term intact — a no-op by
     # impact, but exactly the redundancy this rule exists to catch.
-    before = _redundancies(ctx.trace.initial)
+    # Redundancy in t reads only t's own rows: only touched types count.
     for step in ctx.trace:
         if not step.accepted:
             continue
-        after = _redundancies(step.after)
+        touched = step.touched
+        new = _redundancies(step.after, touched) - _redundancies(
+            step.before, touched
+        )
         for kind, t, what in sorted(
-            after - before, key=lambda e: (e[0], e[1], str(e[2]))
+            new, key=lambda e: (e[0], e[1], str(e[2]))
         ):
             term = "Pe" if kind == "pe" else "Ne"
             yield Diagnostic(
@@ -394,7 +429,6 @@ def _redundancy_introduced(ctx: "AnalysisContext") -> Iterator[Diagnostic]:
                 message=f"{step.operation.describe()} makes {what!r} "
                         f"redundant in {term}({t})",
             )
-        before = after
 
 
 @rule(
@@ -566,15 +600,11 @@ def _undo_unsafe_steps(ctx: "AnalysisContext") -> Iterator[Diagnostic]:
                 inv.apply(work)
         except SchemaError as exc:
             problem = f"the inverse is rejected ({exc})"
-        if not problem and (
-            work.state_fingerprint() != before.state_fingerprint()
-            or work.derived_fingerprint() != before.derived_fingerprint()
-        ):
-            problem = "the derived P/PL/N/H/I state is not restored"
-        if not problem and _payload_rows(work) != _payload_rows(before):
-            problem = (
-                "property payloads drift (display name or domain is "
-                "replaced by the inverse's canonical copy)"
+        if not problem:
+            # Rows the round trip left as the same objects are restored;
+            # compare the rest.
+            problem = _round_trip_problem(
+                before, work, changed_types(before, work)
             )
         if problem:
             yield Diagnostic(
@@ -588,14 +618,39 @@ def _undo_unsafe_steps(ctx: "AnalysisContext") -> Iterator[Diagnostic]:
             )
 
 
-def _payload_rows(lattice: "TypeLattice") -> frozenset[tuple]:
-    """Designer Ne rows *including* the payload fields that semantics-based
-    equality (and hence the fingerprints) cannot see."""
-    return frozenset(
-        (t, p.semantics, p.name, p.domain)
-        for t in lattice.types()
-        for p in lattice.ne(t)
-    )
+def _round_trip_problem(
+    before: "TypeLattice", work: "TypeLattice", types: Iterable[str]
+) -> str:
+    """Why ``work`` does not restore ``before`` on ``types``, or ``""``."""
+    payload_drift = False
+    for t in types:
+        if (t in before) != (t in work):
+            return "the derived P/PL/N/H/I state is not restored"
+        if t not in work:
+            continue
+        if (
+            before.pe(t) != work.pe(t)
+            or before.ne(t) != work.ne(t)
+            or before.p(t) != work.p(t)
+            or before.n(t) != work.n(t)
+            or before.interface(t) != work.interface(t)
+        ):
+            return "the derived P/PL/N/H/I state is not restored"
+        payload_drift = payload_drift or (
+            _payload_rows(before, t) != _payload_rows(work, t)
+        )
+    if payload_drift:
+        return (
+            "property payloads drift (display name or domain is "
+            "replaced by the inverse's canonical copy)"
+        )
+    return ""
+
+
+def _payload_rows(lattice: "TypeLattice", t: str) -> frozenset[tuple]:
+    """Designer Ne rows of ``t`` *including* the payload fields that
+    semantics-based equality (and hence the fingerprints) cannot see."""
+    return frozenset((p.semantics, p.name, p.domain) for p in lattice.ne(t))
 
 
 @rule(

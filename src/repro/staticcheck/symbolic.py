@@ -1,18 +1,23 @@
 """Symbolic (dry-run) execution of an evolution plan.
 
 The evaluator abstract-interprets a plan against a *copy* of the input
-lattice: each step is first dry-run through
-:func:`repro.core.impact.analyze_impact` (same engine, same axioms, so
-the abstraction is exact), then — if accepted — applied to the working
-copy.  A rejected step is recorded as *doomed* with its rejection reason
-and execution continues on the unchanged state, so one bad operation
-does not hide hazards further down the plan.
+lattice: each step is applied to a copy of the state before it (the
+live engine, the same axioms, so the abstraction is exact).  A rejected
+step is recorded as *doomed* with its rejection reason and execution
+continues on the unchanged state, so one bad operation does not hide
+hazards further down the plan.
 
 The resulting :class:`PlanTrace` keeps, per step, the operation, its
-acceptance, the projected :class:`~repro.core.impact.ImpactReport`, and
-the full derived lattice state before and after (``P``/``PL``/``N``/
-``H``/``I`` all queryable through the snapshots).  Rules consume the
-trace; nothing here ever touches the caller's lattice, journal, or WAL.
+acceptance, its :class:`~repro.core.impact.ImpactReport`, and the full
+derived lattice state before and after (``P``/``PL``/``N``/``H``/``I``
+all queryable through the snapshots).  Rules consume the trace; nothing
+here ever touches the caller's lattice, journal, or WAL.
+
+By the axioms every derived term of a type depends only on the types
+above it, so a step can be judged from the rows it changed.  Each step
+records those types (``touched``, found by
+:func:`repro.core.impact.changed_types`), and its impact report, like
+``analyze_impact``'s, compares only them.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from ..core.impact import ImpactReport, analyze_impact
+from ..core.errors import SchemaError, error_code
+from ..core.impact import ImpactReport, changed_types, impact_between
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.lattice import TypeLattice
@@ -48,6 +54,10 @@ class StepOutcome:
     #: machine-readable code of the rejection (the same taxonomy the live
     #: engine raises — see ``repro.core.errors``); empty when accepted.
     rejection_code: str = ""
+    #: :func:`~repro.core.impact.changed_types` of ``before`` and
+    #: ``after``: the only types whose rows this step can have changed
+    #: (empty when rejected).
+    touched: frozenset[str] = frozenset()
 
     @property
     def changed(self) -> bool:
@@ -97,21 +107,35 @@ def symbolic_run(lattice: "TypeLattice", plan: "EvolutionPlan") -> PlanTrace:
     work = initial
     steps: list[StepOutcome] = []
     for index, op in enumerate(plan):
-        impact = analyze_impact(work, op)
-        before = work
-        if impact.accepted:
-            work = work.copy()
-            op.apply(work)
-        steps.append(
-            StepOutcome(
+        trial = work.copy()
+        try:
+            op.apply(trial)
+        except SchemaError as exc:
+            impact = ImpactReport(
+                op, accepted=False, rejection=str(exc),
+                rejection_code=error_code(exc),
+            )
+            steps.append(StepOutcome(
                 index=index,
                 operation=op,
-                accepted=impact.accepted,
+                accepted=False,
                 rejection=impact.rejection,
                 impact=impact,
-                before=before,
+                before=work,
                 after=work,
                 rejection_code=impact.rejection_code,
-            )
-        )
+            ))
+            continue
+        touched = changed_types(work, trial)
+        steps.append(StepOutcome(
+            index=index,
+            operation=op,
+            accepted=True,
+            rejection="",
+            impact=impact_between(op, work, trial, touched),
+            before=work,
+            after=trial,
+            touched=touched,
+        ))
+        work = trial
     return PlanTrace(initial=initial, steps=tuple(steps), final=work)

@@ -37,7 +37,7 @@ from time import perf_counter
 from typing import Callable, Generic, TypeVar
 
 from ..core.config import LatticePolicy
-from ..core.errors import JournalError
+from ..core.errors import NothingToUndoError
 from ..core.history import EvolutionJournal
 from ..core.lattice import TypeLattice
 from ..core.operations import SchemaOperation, operation_from_dict
@@ -452,7 +452,7 @@ class DurableLattice:
         lands in the same state.
         """
         if not len(self.journal):
-            raise JournalError("nothing to undo")
+            raise NothingToUndoError("nothing to undo")
         inverse = self.journal.entries[-1].inverse
         for op in inverse:
             self.file.append(op)

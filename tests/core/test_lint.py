@@ -1,21 +1,20 @@
-"""Tests for the schema linter."""
+"""Tests for the schema-scope lint rules (``analyze_schema``)."""
 
 import pytest
 
 from repro.core import (
-    LINT_RULES,
     LatticePolicy,
     TypeLattice,
     build_figure1_lattice,
-    lint_lattice,
     prop,
 )
+from repro.staticcheck import SCHEMA_RULE_IDS, analyze_schema
 
 
 def findings_by_rule(findings):
     out = {}
     for f in findings:
-        out.setdefault(f.rule, []).append(f)
+        out.setdefault(f.rule_id, []).append(f)
     return out
 
 
@@ -24,13 +23,13 @@ class TestFigure1Findings:
 
     @pytest.fixture
     def findings(self):
-        return findings_by_rule(lint_lattice(build_figure1_lattice()))
+        return findings_by_rule(analyze_schema(build_figure1_lattice()))
 
     def test_redundant_supertype_found(self, findings):
         # T_person is essential on T_teachingAssistant but dominated.
         hits = findings["redundant-essential-supertype"]
         assert any(
-            f.type_name == "T_teachingAssistant" and "T_person" in f.detail
+            f.subject == "T_teachingAssistant" and "T_person" in f.message
             for f in hits
         )
 
@@ -38,7 +37,7 @@ class TestFigure1Findings:
         # taxBracket is essential on T_employee yet inherited.
         hits = findings["redundant-essential-property"]
         assert any(
-            f.type_name == "T_employee" and "taxBracket" in f.detail
+            f.subject == "T_employee" and "taxBracket" in f.message
             for f in hits
         )
 
@@ -46,7 +45,7 @@ class TestFigure1Findings:
         # The two 'name' properties collide in I(T_employee).
         hits = findings["shadowed-name"]
         assert any(
-            f.type_name == "T_employee" and "'name'" in f.detail
+            f.subject == "T_employee" and "'name'" in f.message
             for f in hits
         )
 
@@ -61,8 +60,8 @@ class TestTargetedRules:
     def test_empty_interface(self):
         lat = TypeLattice()
         lat.add_type("T_bare")
-        hits = lint_lattice(lat, rules=("empty-interface",))
-        assert [f.type_name for f in hits] == ["T_bare"]
+        hits = analyze_schema(lat, select=("empty-interface",))
+        assert [f.subject for f in hits] == ["T_bare"]
 
     def test_single_subtype_chain(self):
         lat = TypeLattice()
@@ -70,8 +69,8 @@ class TestTargetedRules:
         lat.add_type("T_mid", supertypes=["T_top"])  # adds nothing
         lat.add_type("T_bot", supertypes=["T_mid"],
                      properties=[prop("b.p")])
-        hits = lint_lattice(lat, rules=("single-subtype-chain",))
-        assert [f.type_name for f in hits] == ["T_mid"]
+        hits = analyze_schema(lat, select=("single-subtype-chain",))
+        assert [f.subject for f in hits] == ["T_mid"]
 
     def test_chain_with_native_property_not_flagged(self):
         lat = TypeLattice()
@@ -79,35 +78,35 @@ class TestTargetedRules:
         lat.add_type("T_mid", supertypes=["T_top"],
                      properties=[prop("m.p")])
         lat.add_type("T_bot", supertypes=["T_mid"])
-        hits = lint_lattice(lat, rules=("single-subtype-chain",))
+        hits = analyze_schema(lat, select=("single-subtype-chain",))
         # T_mid defines m.p natively: not a pass-through; T_bot has no
         # subtypes (other than the base): not a chain either.
-        assert hits == []
+        assert hits == ()
 
     def test_implicit_root_declaration_not_flagged(self):
         # Every type has the root in Pe by policy; not a finding.
         lat = TypeLattice()
         lat.add_type("T_a")
         lat.add_type("T_b", supertypes=["T_a"])
-        hits = lint_lattice(lat, rules=("redundant-essential-supertype",))
-        assert hits == []
+        hits = analyze_schema(lat, select=("redundant-essential-supertype",))
+        assert hits == ()
 
     def test_base_pe_not_flagged(self):
         # Pe(T_null) lists everything by policy; that is not redundancy.
         lat = TypeLattice()
         lat.add_type("T_a")
         lat.add_type("T_b", supertypes=["T_a"])
-        hits = lint_lattice(lat, rules=("redundant-essential-supertype",))
-        assert all(f.type_name != "T_null" for f in hits)
+        hits = analyze_schema(lat, select=("redundant-essential-supertype",))
+        assert all(f.subject != "T_null" for f in hits)
 
     def test_clean_lattice_has_no_findings(self):
         lat = TypeLattice(LatticePolicy.orion())
         lat.add_type("C_a", properties=[prop("a.p")])
         lat.add_type("C_b", supertypes=["C_a"], properties=[prop("b.p")])
-        assert lint_lattice(lat) == []
+        assert analyze_schema(lat) == ()
 
     def test_rule_registry_complete(self):
-        assert set(LINT_RULES) == {
+        assert set(SCHEMA_RULE_IDS) == {
             "redundant-essential-supertype",
             "redundant-essential-property",
             "shadowed-name",
@@ -118,5 +117,5 @@ class TestTargetedRules:
     def test_finding_str(self):
         lat = TypeLattice()
         lat.add_type("T_bare")
-        [f] = lint_lattice(lat, rules=("empty-interface",))
+        [f] = analyze_schema(lat, select=("empty-interface",))
         assert "empty-interface" in str(f) and "T_bare" in str(f)

@@ -8,12 +8,12 @@ from repro.core import (
     build_figure1_lattice,
     check_all,
     is_normalized,
-    lint_lattice,
     normalize,
     normalized_copy,
     prop,
     verify,
 )
+from repro.staticcheck import analyze_schema
 
 
 class TestFigure1Normalization:
@@ -78,12 +78,12 @@ class TestFigure1Normalization:
     def test_no_redundancy_lint_findings_after(self):
         lat = build_figure1_lattice()
         normalize(lat)
-        findings = lint_lattice(
+        findings = analyze_schema(
             lat,
-            rules=("redundant-essential-supertype",
-                   "redundant-essential-property"),
+            select=("redundant-essential-supertype",
+                    "redundant-essential-property"),
         )
-        assert findings == []
+        assert findings == ()
 
 
 class TestNormalizationProperties:

@@ -79,6 +79,40 @@ class TestSchemaEndpoint:
         assert "type T_person {" in text
         assert "ne person.name as name;" in text
 
+    def test_schema_body_printed_once_per_generation(
+        self, served, monkeypatch
+    ):
+        import repro.ddl.printer as printer
+
+        store, _, client = served
+        client.json("POST", "/v1/migrate", {"schema": TARGET})
+        printed = []
+        real = printer.print_schema
+
+        def counting(decl, *args, **kwargs):
+            printed.append(decl)
+            return real(decl, *args, **kwargs)
+
+        monkeypatch.setattr(printer, "print_schema", counting)
+        first = client.request("GET", "/v1/schema")
+        second = client.request("GET", "/v1/schema")
+        assert len(printed) == 1
+        assert first[2] == second[2]
+        assert first[2].decode() == real(printed[0])
+        assert first[1]["X-Schema-Generation"] == second[1][
+            "X-Schema-Generation"
+        ]
+
+        # A write publishes a new snapshot: the next GET prints again.
+        client.json("POST", "/v1/migrate", {"schema": LOSSY, "lint": "off"})
+        status, headers, raw = client.request("GET", "/v1/schema")
+        assert status == 200 and len(printed) == 2
+        assert raw != first[2]
+        assert headers["X-Schema-Generation"] == str(
+            store.snapshot.generation
+        )
+        assert "ne person.name" not in raw.decode()
+
 
 class TestMigrateEndpoint:
     def test_migrate_and_idempotence(self, served):

@@ -138,6 +138,15 @@ class TestReadsAndWrites:
         _, body = client.json("GET", "/v1/types")
         assert "T_person" not in body["types"]
 
+    def test_undo_with_nothing_to_undo_is_409_nothing_to_undo(self, served):
+        _, _, client = served
+        status, body = client.json("POST", "/v1/undo")
+        assert (status, body["error"]["code"]) == (409, "nothing-to-undo")
+        client.json("POST", "/v1/apply", {"op": at("T_person")})
+        assert client.json("POST", "/v1/undo")[0] == 200
+        status, body = client.json("POST", "/v1/undo")
+        assert (status, body["error"]["code"]) == (409, "nothing-to-undo")
+
     def test_error_taxonomy_mapping(self, served):
         _, _, client = served
         # 404: unknown type on read.

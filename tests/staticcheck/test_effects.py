@@ -38,6 +38,7 @@ from repro.staticcheck import (
     ops_commute,
     plan_summaries,
     summaries_conflict,
+    symbolic_run,
 )
 from repro.staticcheck.effects import conflict_witness
 
@@ -124,7 +125,7 @@ class TestConflictAlgebra:
             AddType("T_emp", ("T_person",)),
             DropType("T_emp"),  # accepted only because step 0 ran
         ])
-        sums = plan_summaries(lat, plan)
+        sums = plan_summaries(symbolic_run(lat, plan))
         assert len(sums) == 2
         assert sums[1].accepted
         assert ("type", "T_emp") in sums[1].writes

@@ -100,6 +100,17 @@ class TestRejections:
         run(db, "add-type", "T_a")
         assert run(db, "drop-edge", "T_a", "T_object") == 1
 
+    def test_undo_then_nothing_to_undo(self, db, capsys):
+        run(db, "add-type", "T_a")
+        assert run(db, "undo") == 0
+        assert "undone: add type 'T_a'" in capsys.readouterr().out
+        run(db, "checkpoint")
+        capsys.readouterr()
+        assert run(db, "undo") == 1
+        err = capsys.readouterr().err
+        assert "[nothing-to-undo]" in err
+        assert "journal-corrupt" not in err
+
     def test_rejected_op_not_persisted(self, db, capsys):
         run(db, "add-type", "T_a")
         run(db, "add-type", "T_a")  # rejected
