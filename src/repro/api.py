@@ -256,12 +256,9 @@ class Objectbase:
     ) -> "Objectbase":
         """Open (or create) a durable objectbase backed by a WAL file.
 
-        ``path`` is a filesystem path or a backend URL: a bare path (or
-        ``file:PATH``) selects the plain-file backend, and
-        ``sqlite:DBFILE`` stores frames and checkpoints as rows in one
-        SQLite database (see ``docs/storage.md``).  Both backends satisfy
-        the same crash-consistency contract; the conformance suite runs
-        verbatim against each.
+        ``path`` is the WAL's filesystem path; ``file:PATH`` is an alias
+        for it (see ``docs/storage.md``).  The checkpoint lives next to
+        it at ``<path>.checkpoint``.
 
         Recovery replays the journal in batch mode: the first query after
         opening pays one derivation pass, regardless of the plan length.

@@ -99,9 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--db", required=True,
-        help="journal path or backend URL (created when missing): a bare "
-             "path or file:PATH for the filesystem backend, "
-             "sqlite:DBFILE for the SQLite backend (see docs/storage.md)",
+        help="journal path (created when missing); file:PATH is an alias "
+             "for PATH (see docs/storage.md)",
     )
     parser.add_argument(
         "-v", "--verbose", action="count", default=0,
@@ -613,14 +612,11 @@ def _serve_primary(args, durability) -> int:
         ReplicationSource,
     )
 
-    from .storage.backend import storage_physical_path
+    from .storage.backend import storage_path
 
-    # The lease is a real file next to the backend's physical location
-    # (the sqlite database file for sqlite:) — fencing must work across
-    # processes even for non-file backends.  Resolved without
-    # constructing a backend: a failover candidate must not create or
-    # connect to a store it does not own.
-    anchor = storage_physical_path(args.db)
+    # The lease is a file next to the WAL, so fencing works across
+    # processes.
+    anchor = storage_path(args.db)
     lease = FileLease(
         anchor.with_suffix(anchor.suffix + ".lease"), ttl=args.lease_ttl
     )

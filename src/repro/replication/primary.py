@@ -42,8 +42,8 @@ from typing import Callable
 from ..core.errors import ReplicationError
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import trace
-from ..storage.backend import resolve_storage_url
-from ..storage.faults import StorageFS
+from ..storage.backend import storage_path
+from ..storage.faults import RealFS, StorageFS
 from ..storage.framing import load_checkpoint, scan_log
 from .channel import Channel, ChannelClosed
 from .lease import FileLease
@@ -94,14 +94,11 @@ class ReplicationSource:
     def __init__(
         self, path: str | Path, *, fs: StorageFS | None = None
     ) -> None:
-        # Accepts the same backend URLs as Objectbase.open, so the
-        # shipper reads the WAL through the very backend that wrote it.
-        target = resolve_storage_url(path, fs=fs)
-        self.path = Path(target.path)
+        self.path = storage_path(path)
         self.checkpoint_path = self.path.with_suffix(
             self.path.suffix + ".checkpoint"
         )
-        self.fs = target.fs
+        self.fs = fs or RealFS()
         self._cache_key: tuple[int, int] | None = None
         self._cache: SourceState | None = None
         self._lock = threading.Lock()

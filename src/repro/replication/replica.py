@@ -119,8 +119,7 @@ class ReplicaStore:
         policy: LatticePolicy | None = None,
         fs: StorageFS | None = None,
     ) -> None:
-        # Replicas mirror into any backend too (same URL forms).  A
-        # replica never checkpoints on its own, so it takes no policy.
+        # A replica never checkpoints on its own, so it takes no policy.
         self.wal = JournalFile(path, fs=fs)
         self.path = self.wal.path
         self.policy = policy

@@ -8,16 +8,8 @@ code imports :class:`~repro.storage.journal.DurableLattice` /
 to re-export them here were removed after one release).
 """
 
-from .backend import (
-    FileBackend,
-    StorageBackend,
-    StorageTarget,
-    resolve_storage_url,
-    storage_physical_path,
-)
 from .faults import CrashPoint, FaultyFS, RealFS, StorageFS
 from .framing import DurabilityPolicy, SalvageReport, atomic_write_bytes
-from .sqlite_backend import SqliteBackend
 from .snapshot import (
     lattice_from_dict,
     lattice_to_dict,
@@ -32,13 +24,7 @@ __all__ = [
     "FaultyFS",
     "RealFS",
     "StorageFS",
-    "StorageBackend",
-    "FileBackend",
-    "SqliteBackend",
-    "StorageTarget",
     "atomic_write_bytes",
-    "resolve_storage_url",
-    "storage_physical_path",
     "lattice_to_dict",
     "lattice_from_dict",
     "save_lattice",

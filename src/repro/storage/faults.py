@@ -2,11 +2,9 @@
 
 The storage layer performs every mutating storage operation through a
 :class:`StorageFS` object.  :class:`RealFS` is the production filesystem
-implementation (thin wrappers over :mod:`os` / :mod:`pathlib`); the
-sqlite backend in :mod:`repro.storage.sqlite_backend` implements the
-same primitives over database rows.  :class:`FaultyFS` wraps *any* of
-them and injects the failure families the crash-matrix suite
-exercises:
+implementation (thin wrappers over :mod:`os` / :mod:`pathlib`).
+:class:`FaultyFS` wraps it and injects the failure families the
+crash-matrix suite exercises:
 
 * **crash-at-boundary** — every mutating primitive exposes numbered
   *injection points* (before the effect, mid-write, ...).  Points are
@@ -46,14 +44,6 @@ exercises:
   persists only the first half of the payload before failing, so the
   retry path must also roll the partial write back.  Transient faults do
   **not** consume crash injection points — the two dimensions compose.
-* **backend-torn appends** — with ``backend_torn=True`` and a base that
-  exposes ``simulate_torn_append`` (the sqlite backend), every append
-  gains an ``append-backend-torn`` point whose partial effect is the
-  backend's own nastiest mid-append crash state: sqlite leaves a
-  half-payload *uncommitted transaction* (the partial commit must be
-  invisible on the next open).  On a base without the hook the point
-  simply does not exist, so one matrix runs verbatim against every
-  backend.
 * **write reordering** — with ``reorder=True`` the fault model tracks,
   per file, the last state that an fsync barrier made durable.  When a
   mutation lands while *other* files still have un-synced changes, a
@@ -62,9 +52,7 @@ exercises:
   rolls back to its last barrier state.  Writes to the *same* file stay
   ordered (byte-stream semantics); only cross-file ordering is at risk,
   which is exactly what fsync barriers — and checkpoint generation
-  fencing — exist to control.  Backends whose every primitive commits
-  durably (``durable_writes``) cannot reorder, and the tracking
-  disables itself.
+  fencing — exist to control.
 
 The crash-matrix driver iterates ``crash_at`` from 0 upward until a full
 workload completes without crashing (``total_points`` many boundaries),
@@ -95,19 +83,11 @@ class CrashPoint(Exception):
 class StorageFS:
     """The storage primitives the durability path is allowed to use.
 
-    Implementations may keep "files" anywhere — POSIX paths, sqlite
-    rows — as long as the byte-stream semantics hold: ``append_bytes``
+    The byte-stream semantics are POSIX files': ``append_bytes``
     extends, ``write_bytes`` replaces, ``replace`` atomically renames,
-    ``truncate`` cuts to a prefix.  The two class-level flags describe
-    what the substrate guarantees *beyond* the primitives;
-    :mod:`repro.storage.backend` documents them.
+    ``truncate`` cuts to a prefix.  A rename is durable only after
+    ``fsync_dir`` on its directory.
     """
-
-    #: ``replace`` is durable by itself — no directory fsync needed.
-    durable_rename: bool = False
-    #: Every mutating primitive commits durably before returning
-    #: (transactional backends); fsync barriers are no-ops.
-    durable_writes: bool = False
 
     def exists(self, path: Path) -> bool:
         raise NotImplementedError
@@ -140,8 +120,6 @@ class StorageFS:
         raise NotImplementedError
 
     def mkdirs(self, path: Path) -> None:
-        """Ensure a (logical) directory exists; no-op where the
-        substrate has no directories."""
         raise NotImplementedError
 
 
@@ -229,22 +207,14 @@ class FaultyFS(StorageFS):
     torn_replace:
         Add the ``replace-torn`` injection point to every ``replace``:
         new content visible at the destination, source left behind.
-    backend_torn:
-        Add the ``append-backend-torn`` injection point to every append
-        when the base backend exposes ``simulate_torn_append`` — the
-        backend-shaped mid-append crash (an uncommitted sqlite
-        transaction).  Bases without the hook are
-        unaffected, so the flag is safe to set unconditionally.
     reorder:
         Track fsync barriers and add ``reorder:`` injection points whose
         crash state persists the current mutation while rolling every
         *other* un-synced file back to its last barrier state (the
-        write-reordering model; see module docstring).  Self-disables on
-        ``durable_writes`` backends, which cannot reorder.
+        write-reordering model; see module docstring).
     base:
         The real storage to delegate surviving operations to (defaults
-        to :class:`RealFS`).  The ``durable_*`` flags forward to it, so
-        a ``FaultyFS`` is transparently backend-generic.
+        to :class:`RealFS`).
     """
 
     def __init__(
@@ -257,7 +227,6 @@ class FaultyFS(StorageFS):
         enospc_appends: int = 0,
         enospc_writes: int = 0,
         torn_replace: bool = False,
-        backend_torn: bool = False,
         reorder: bool = False,
     ) -> None:
         self.base = base or RealFS()
@@ -268,7 +237,6 @@ class FaultyFS(StorageFS):
         self.enospc_appends = enospc_appends
         self.enospc_writes = enospc_writes
         self.torn_replace = torn_replace
-        self.backend_torn = backend_torn
         self.reorder = reorder
         self.points = 0
         self.crashed = False
@@ -276,16 +244,6 @@ class FaultyFS(StorageFS):
         self._mutex = threading.Lock()
         #: path -> bytes at the last fsync barrier (or _ABSENT).
         self._unsynced: dict[str, object] = {}
-
-    # -- durability flags forward to the wrapped backend ---------------
-
-    @property
-    def durable_rename(self) -> bool:  # type: ignore[override]
-        return getattr(self.base, "durable_rename", False)
-
-    @property
-    def durable_writes(self) -> bool:  # type: ignore[override]
-        return getattr(self.base, "durable_writes", False)
 
     # -- injection scheduling (thread-safe) ----------------------------
 
@@ -319,9 +277,6 @@ class FaultyFS(StorageFS):
 
     # -- write-reordering barrier tracking -----------------------------
 
-    def _tracking_reorder(self) -> bool:
-        return self.reorder and not self.durable_writes
-
     def _note_mutation(self, path: Path) -> None:
         """Snapshot a file's last-barrier state before mutating it.
 
@@ -331,7 +286,7 @@ class FaultyFS(StorageFS):
         the "barrier state", and :meth:`_apply_reorder_crash` would then
         roll back to a state that never existed at a barrier.
         """
-        if not self._tracking_reorder():
+        if not self.reorder:
             return
         key = str(path)
         with self._mutex:
@@ -344,7 +299,7 @@ class FaultyFS(StorageFS):
 
     def _reorder_point(self, kind: str, path: Path) -> bool:
         """Whether to crash here with the reordered-write state."""
-        if not self._tracking_reorder():
+        if not self.reorder:
             return False
         key = str(path)
         with self._mutex:
@@ -406,16 +361,6 @@ class FaultyFS(StorageFS):
         if len(data) > 1 and self._point(f"append-short:{Path(path).name}"):
             self.base.append_bytes(path, data[: len(data) // 2])
             raise CrashPoint(f"short write appending to {path}")
-        if (
-            self.backend_torn
-            and hasattr(self.base, "simulate_torn_append")
-            and self._point(f"append-backend-torn:{Path(path).name}")
-        ):
-            self.base.simulate_torn_append(path, data)
-            raise CrashPoint(
-                f"backend-shaped torn append to {path}: partial state "
-                f"must be invisible after recovery"
-            )
         self.base.append_bytes(path, data)
 
     def write_bytes(self, path: Path, data: bytes) -> None:
@@ -458,7 +403,7 @@ class FaultyFS(StorageFS):
                 f"torn rename: {dst} updated but {src} left behind"
             )
         src_unsynced = False
-        if self._tracking_reorder():
+        if self.reorder:
             with self._mutex:
                 src_unsynced = str(src) in self._unsynced
             if src_unsynced:
@@ -466,7 +411,7 @@ class FaultyFS(StorageFS):
                 # its new name, against the pre-rename destination state.
                 self._note_mutation(dst)
         self.base.replace(src, dst)
-        if self._tracking_reorder():
+        if self.reorder:
             with self._mutex:
                 self._unsynced.pop(str(src), None)
                 if not src_unsynced:
@@ -511,16 +456,3 @@ class FaultyFS(StorageFS):
         if self._point(f"mkdir-pre:{Path(path).name}"):
             raise CrashPoint(f"crash before creating directory {path}")
         self.base.mkdirs(path)
-
-    # -- backend-shaped fault passthrough ------------------------------
-
-    def simulate_torn_append(self, path: Path, data: bytes) -> None:
-        """Forward the backend's torn-append hook (tests drive it
-        directly when composing fault layers)."""
-        hook = getattr(self.base, "simulate_torn_append", None)
-        if hook is None:
-            raise NotImplementedError(
-                "the wrapped backend has no backend-shaped torn-append "
-                "state"
-            )
-        hook(path, data)

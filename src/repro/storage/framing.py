@@ -540,10 +540,8 @@ def atomic_write_bytes(fs: StorageFS, path: Path, data: bytes) -> None:
     A crash at any boundary leaves either the old or the new content
     fully intact, never a torn hybrid.  A failed write or fsync (disk
     full, EIO) never touches the destination: the partial temp is
-    removed and a typed :class:`JournalError` raised.  Backends whose
-    rename is durable by itself (``durable_rename``) skip the directory
-    fsync.  Checkpoints and the snapshot savers all publish through
-    here.
+    removed and a typed :class:`JournalError` raised.  Checkpoints and
+    the snapshot savers all publish through here.
     """
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
@@ -562,8 +560,7 @@ def atomic_write_bytes(fs: StorageFS, path: Path, data: bytes) -> None:
             f"publishing {path} failed; the previous version is "
             f"intact: {exc}"
         ) from exc
-    if not fs.durable_rename:
-        fs.fsync_dir(path.parent if str(path.parent) else Path("."))
+    fs.fsync_dir(path.parent if str(path.parent) else Path("."))
 
 
 def write_checkpoint(

@@ -42,8 +42,8 @@ from ..core.history import EvolutionJournal
 from ..core.lattice import TypeLattice
 from ..core.operations import SchemaOperation, operation_from_dict
 from ..obs.metrics import REGISTRY, SIZE_BUCKETS
-from .backend import resolve_storage_url
-from .faults import StorageFS
+from .backend import storage_path
+from .faults import RealFS, StorageFS
 from .framing import (
     DurabilityPolicy,
     FramedRecord,
@@ -125,16 +125,12 @@ class JournalFile:
         fs: StorageFS | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
-        # A backend URL (sqlite:…, file:…) resolves to its backend plus
-        # the logical journal path inside it; an explicit ``fs`` always
-        # wins (fault injection, pre-built backends).
-        target = resolve_storage_url(path, fs=fs)
-        self.path = Path(target.path)
+        self.path = storage_path(path)
         self.checkpoint_path = self.path.with_suffix(
             self.path.suffix + ".checkpoint"
         )
         self.durability = durability or DurabilityPolicy()
-        self.fs = target.fs
+        self.fs = fs or RealFS()
         self.retry = retry or RetryPolicy()
         self.latch = DegradedLatch(store=str(self.path))
         #: Optional write fence, checked before every append and

@@ -141,7 +141,7 @@ def save_lattice(
     """Write a snapshot file atomically; returns the path.
 
     The snapshot lands via temp-file, fsync and rename (through the
-    storage backend's primitives) so a crash mid-save leaves the
+    :class:`StorageFS` primitives) so a crash mid-save leaves the
     previous snapshot intact instead of a torn JSON document.
     """
     path = Path(path)

@@ -1,9 +1,9 @@
-"""Crash-matrix conformance suite: prefix-consistent at every boundary.
+"""Crash matrix: prefix-consistent at every boundary.
 
 The driver runs a fixed workload under :class:`FaultyFS`, crashing at
 injection point 0, then 1, ... until the workload completes uncrashed.
 After every simulated power failure the store is reopened over a fresh
-backend instance (the "restart") in both recovery modes and the
+:class:`RealFS` (the "restart") in both recovery modes and the
 recovered state must be *prefix-consistent*:
 
 * equal to the state after some prefix of the workload's operations;
@@ -13,11 +13,7 @@ recovered state must be *prefix-consistent*:
 * never longer than the full workload (no double-applied tail, which is
   exactly what checkpoint generation fencing prevents).
 
-Every test takes the ``backend`` fixture (see ``conftest.py``), so the
-whole matrix runs verbatim against the plain-file and sqlite backends —
-one suite, two substrates.  The matrix also covers the backend-shaped
-fault classes: torn renames, a mid-transaction sqlite crash (the
-partial commit must be invisible), and write reordering before an
+The matrix also covers torn renames and write reordering before an
 fsync barrier.
 """
 
@@ -38,7 +34,7 @@ from repro.core.operations import operation_from_dict
 from repro.obs.metrics import REGISTRY
 from repro.replication import ReplicaStore, ReplicationSource
 from repro.replication.protocol import Position
-from repro.storage.faults import CrashPoint
+from repro.storage.faults import CrashPoint, FaultyFS, RealFS
 from repro.storage.framing import frame_payload
 from repro.storage.journal import DurableLattice, JournalFile
 from repro.storage.snapshot import lattice_from_dict
@@ -65,11 +61,10 @@ def lattice_prefix_fingerprints() -> dict[str, int]:
 def drive_matrix(faulty, workload, recover, prefixes, max_points=200):
     """Crash the workload at every injection point; check every recovery.
 
-    ``faulty(crash_at) -> FaultyFS`` builds the fault-injecting view
-    over a fresh backend instance (``harness.faulty`` partially
-    applied); ``workload(fs) -> acknowledged-op-count`` runs against a
-    fresh logical directory each call; ``recover(mode) -> fingerprint``
-    reopens over another fresh instance.  Returns the number of crash
+    ``faulty(crash_at) -> FaultyFS`` builds the fault-injecting view;
+    ``workload(fs) -> acknowledged-op-count`` runs against a fresh
+    directory each call; ``recover(mode) -> fingerprint`` reopens over
+    a fresh :class:`RealFS`.  Returns the number of crash
     scenarios driven.
     """
     crash_at = 0
@@ -101,7 +96,7 @@ def drive_matrix(faulty, workload, recover, prefixes, max_points=200):
 
 
 class TestDurableLatticeCrashMatrix:
-    def test_apply_and_checkpoint_matrix(self, backend, tmp_path):
+    def test_apply_and_checkpoint_matrix(self, tmp_path):
         prefixes = lattice_prefix_fingerprints()
         scenario = {"n": 0}
 
@@ -121,18 +116,18 @@ class TestDurableLatticeCrashMatrix:
 
         def recover(mode):
             durable = DurableLattice.reopen(
-                scenario["dir"] / "wal", recovery=mode, fs=backend.fresh()
+                scenario["dir"] / "wal", recovery=mode, fs=RealFS()
             )
             return durable.lattice.state_fingerprint()
 
-        scenarios = drive_matrix(backend.faulty, workload, recover, prefixes)
+        scenarios = drive_matrix(FaultyFS, workload, recover, prefixes)
         assert scenarios > 10  # the workload really has many boundaries
 
-    def test_recovery_itself_is_crash_safe(self, backend, tmp_path):
+    def test_recovery_itself_is_crash_safe(self, tmp_path):
         """Crashing during repair-on-open must not lose the valid prefix."""
         source = tmp_path / "seed"
         source.mkdir()
-        seed_fs = backend.fresh()
+        seed_fs = RealFS()
         durable = DurableLattice(source / "wal", fs=seed_fs)
         for op in SCRIPT[:3]:
             durable.apply(op)
@@ -144,17 +139,17 @@ class TestDurableLatticeCrashMatrix:
             directory = tmp_path / f"recover-{crash_at}"
             directory.mkdir()
             # Damaged image: valid prefix + torn tail.
-            backend.fresh().write_bytes(
+            RealFS().write_bytes(
                 directory / "wal", wal_bytes + b"#W1 0 77 to"
             )
-            fs = backend.faulty(crash_at=crash_at)
+            fs = FaultyFS(crash_at=crash_at)
             try:
                 DurableLattice(directory / "wal", recovery="salvage", fs=fs)
                 completed = not fs.crashed
             except CrashPoint:
                 completed = False
             reopened = DurableLattice.reopen(
-                directory / "wal", recovery="salvage", fs=backend.fresh()
+                directory / "wal", recovery="salvage", fs=RealFS()
             )
             assert reopened.lattice.state_fingerprint() == expected
             if completed:
@@ -215,7 +210,7 @@ class TestReplicaStoreCrashMatrix:
     position and with the prefix CRC the primary accepts at handshake.
     """
 
-    def test_install_and_apply_matrix(self, backend, tmp_path):
+    def test_install_and_apply_matrix(self, tmp_path):
         history, state, generation, frames = ship_script(tmp_path)
         prefixes = replica_prefixes(history, state)
         scenario = {"n": 0}
@@ -236,7 +231,7 @@ class TestReplicaStoreCrashMatrix:
 
         def recover(_mode):
             replica = ReplicaStore(
-                scenario["dir"] / "r.wal", fs=backend.fresh()
+                scenario["dir"] / "r.wal", fs=RealFS()
             )
             return (
                 published(replica.snapshot),
@@ -244,13 +239,13 @@ class TestReplicaStoreCrashMatrix:
                 replica.tail_crc,
             )
 
-        scenarios = drive_matrix(backend.faulty, workload, recover, prefixes)
+        scenarios = drive_matrix(FaultyFS, workload, recover, prefixes)
         assert scenarios > 10
 
 
 class TestFsyncFailure:
     def test_append_fsync_failure_latches_degraded_mode(
-        self, backend, tmp_path
+        self, tmp_path
     ):
         """A permanent fsync failure exhausts retries and latches the store.
 
@@ -262,7 +257,7 @@ class TestFsyncFailure:
         from repro.core.errors import DegradedModeError
         from repro.storage.reliability import RetryPolicy
 
-        fs = backend.faulty(fail_fsync=True)
+        fs = FaultyFS(fail_fsync=True)
         durable = DurableLattice(
             tmp_path / "wal", fs=fs,
             retry=RetryPolicy(attempts=3, sleep=lambda _: None),
@@ -272,30 +267,30 @@ class TestFsyncFailure:
         assert durable.degraded
         # The rejected write was rolled back: replay sees only the
         # acknowledged (empty) prefix, not a phantom record.
-        reopened = DurableLattice.reopen(tmp_path / "wal", fs=backend.fresh())
+        reopened = DurableLattice.reopen(tmp_path / "wal", fs=RealFS())
         assert "T_person" not in reopened.lattice
         # Subsequent writes are rejected by the latch.
         with pytest.raises(DegradedModeError):
             durable.apply(SCRIPT[0])
 
-    def test_transient_fsync_failures_are_absorbed(self, backend, tmp_path):
+    def test_transient_fsync_failures_are_absorbed(self, tmp_path):
         """Recoverable fsync blips retry to success; the write lands."""
         from repro.storage.reliability import RetryPolicy
 
-        fs = backend.faulty(transient_fsync_failures=2)
+        fs = FaultyFS(transient_fsync_failures=2)
         durable = DurableLattice(
             tmp_path / "wal", fs=fs,
             retry=RetryPolicy(attempts=3, sleep=lambda _: None),
         )
         durable.apply(SCRIPT[0])
         assert not durable.degraded
-        reopened = DurableLattice.reopen(tmp_path / "wal", fs=backend.fresh())
+        reopened = DurableLattice.reopen(tmp_path / "wal", fs=RealFS())
         assert "T_person" in reopened.lattice
 
-    def test_replica_fsyncs_each_batch_once(self, backend, tmp_path):
+    def test_replica_fsyncs_each_batch_once(self, tmp_path):
         """A shipped batch of three frames costs one fsync, not three."""
         _, state, generation, frames = ship_script(tmp_path)
-        replica = ReplicaStore(tmp_path / "r.wal", fs=backend.fresh())
+        replica = ReplicaStore(tmp_path / "r.wal", fs=RealFS())
         replica.install_checkpoint(state, generation)
 
         def fsyncs():
@@ -305,11 +300,11 @@ class TestFsyncFailure:
         assert replica.apply_records(generation, 0, frames) == len(frames)
         assert fsyncs() - before == 1
 
-    def test_replica_fsync_failure_changes_nothing(self, backend, tmp_path):
+    def test_replica_fsync_failure_changes_nothing(self, tmp_path):
         """A batch whose fsync fails is neither applied nor published,
         and the WAL is rolled back to the batch start."""
         _, state, generation, frames = ship_script(tmp_path)
-        fs = backend.faulty()
+        fs = FaultyFS()
         replica = ReplicaStore(tmp_path / "r.wal", fs=fs)
         replica.install_checkpoint(state, generation)
         before = (replica.position, replica.tail_crc, replica.snapshot)
@@ -319,7 +314,7 @@ class TestFsyncFailure:
             replica.apply_records(generation, 0, frames)
         assert (replica.position, replica.tail_crc, replica.snapshot) \
             == before
-        reopened = ReplicaStore(tmp_path / "r.wal", fs=backend.fresh())
+        reopened = ReplicaStore(tmp_path / "r.wal", fs=RealFS())
         assert reopened.position == before[0]
         assert reopened.tail_crc == before[1]
         assert published(reopened.snapshot) == published(before[2])
@@ -330,17 +325,17 @@ class TestConcurrentWritersCrashMatrix:
 
     Four writer threads race through the single-writer lock while the
     filesystem crashes at every injection point in turn.  After each
-    simulated power failure the store is reopened over a fresh backend
-    instance and every *acknowledged* write (``apply`` returned) must
-    have survived — regardless of which thread issued it or how the
-    arrivals interleaved — and nothing that was never applied may
+    simulated power failure the store is reopened over a fresh
+    :class:`RealFS` and every *acknowledged* write (``apply`` returned)
+    must have survived — regardless of which thread issued it or how
+    the arrivals interleaved — and nothing that was never applied may
     appear.
     """
 
     THREADS = 4
     OPS_PER_THREAD = 3
 
-    def test_acknowledged_writes_survive(self, backend, tmp_path):
+    def test_acknowledged_writes_survive(self, tmp_path):
         from repro.concurrent import ConcurrentObjectbase
 
         all_names = {
@@ -354,7 +349,7 @@ class TestConcurrentWritersCrashMatrix:
             scenarios += 1
             directory = tmp_path / f"crash-{crash_at}"
             directory.mkdir()
-            fs = backend.faulty(crash_at=crash_at)
+            fs = FaultyFS(crash_at=crash_at)
             store = ConcurrentObjectbase.open(
                 directory / "wal", fs=fs,
                 lock_timeout=30.0,
@@ -384,7 +379,7 @@ class TestConcurrentWritersCrashMatrix:
 
             for mode in ("strict", "salvage"):
                 reopened = DurableLattice.reopen(
-                    directory / "wal", recovery=mode, fs=backend.fresh()
+                    directory / "wal", recovery=mode, fs=RealFS()
                 )
                 recovered = reopened.lattice.types()
                 missing = set(acknowledged) - recovered
@@ -415,13 +410,13 @@ class TestTornRenameMatrix:
     prefix-consistent, and sweep the stale temp file away.
     """
 
-    def test_checkpoint_torn_rename_matrix(self, backend, tmp_path):
+    def test_checkpoint_torn_rename_matrix(self, tmp_path):
         prefixes = lattice_prefix_fingerprints()
         crash_at = 0
         while crash_at < 200:
             directory = tmp_path / f"torn-{crash_at}"
             directory.mkdir()
-            fs = backend.faulty(crash_at=crash_at, torn_replace=True)
+            fs = FaultyFS(crash_at=crash_at, torn_replace=True)
             fs.acknowledged = 0
             try:
                 durable = DurableLattice(directory / "wal", fs=fs)
@@ -441,7 +436,7 @@ class TestTornRenameMatrix:
             )
             for mode in ("strict", "salvage"):
                 reopened = DurableLattice.reopen(
-                    wal, recovery=mode, fs=backend.fresh()
+                    wal, recovery=mode, fs=RealFS()
                 )
                 fingerprint = reopened.lattice.state_fingerprint()
                 assert fingerprint in prefixes, (
@@ -453,7 +448,7 @@ class TestTornRenameMatrix:
                     f"write lost (mode {mode})"
                 )
             # Repair-on-open swept the interrupted publish's residue.
-            assert not backend.fresh().exists(stale_tmp), (
+            assert not RealFS().exists(stale_tmp), (
                 f"torn crash at point {crash_at}: stale checkpoint temp "
                 f"file survived recovery"
             )
@@ -462,67 +457,6 @@ class TestTornRenameMatrix:
                 return
             crash_at += 1
         raise AssertionError("workload still crashing after 200 points")
-
-
-class TestBackendTornAppendMatrix:
-    """Backend-shaped mid-append crashes (the new fault classes).
-
-    With ``backend_torn=True`` every append gains an extra point whose
-    partial effect is the backend's own nastiest crash state: sqlite
-    crashes mid-transaction (the half-committed frame must be invisible
-    after restart — sqlite's rollback journal guarantees it).  The
-    plain-file backend has no such state, so the flag is inert there
-    and the matrix degenerates to the base one — which is exactly the
-    conformance claim.
-    """
-
-    def test_mid_transaction_crash_matrix(self, backend, tmp_path):
-        prefixes = lattice_prefix_fingerprints()
-        scenario = {"n": 0}
-
-        def workload(fs):
-            scenario["n"] += 1
-            directory = tmp_path / f"torn-{scenario['n']}"
-            directory.mkdir()
-            scenario["dir"] = directory
-            fs.acknowledged = 0
-            durable = DurableLattice(directory / "wal", fs=fs)
-            for i, op in enumerate(SCRIPT):
-                durable.apply(op)
-                fs.acknowledged += 1
-                if i == 2:
-                    durable.checkpoint()
-            return fs.acknowledged
-
-        def recover(mode):
-            durable = DurableLattice.reopen(
-                scenario["dir"] / "wal", recovery=mode, fs=backend.fresh()
-            )
-            return durable.lattice.state_fingerprint()
-
-        def faulty(crash_at):
-            return backend.faulty(crash_at=crash_at, backend_torn=True)
-
-        scenarios = drive_matrix(faulty, workload, recover, prefixes)
-        assert scenarios > 10
-
-    def test_backend_torn_state_is_invisible_after_restart(
-        self, backend, tmp_path
-    ):
-        """Drive the torn hook directly: the partial append must not
-        surface through a fresh instance, and the acknowledged prefix
-        must read back intact."""
-        fs = backend.fresh()
-        if not hasattr(fs, "simulate_torn_append"):
-            pytest.skip("plain-file backend has no backend-shaped state")
-        path = tmp_path / "wal"
-        fs.append_bytes(path, b"alpha\n")
-        fs.simulate_torn_append(path, b"beta-never-committed\n")
-        restarted = backend.fresh()
-        assert restarted.read_bytes(path) == b"alpha\n"
-        # The substrate healed itself: appends keep working.
-        restarted.append_bytes(path, b"gamma\n")
-        assert backend.fresh().read_bytes(path) == b"alpha\ngamma\n"
 
 
 def reorder_workload_factory(tmp_path, scenario):
@@ -559,25 +493,22 @@ class TestWriteReorderingMatrix:
     classic reordered write: the current mutation persisted, every
     older un-synced file rolled back to its last barrier.  Generation
     fencing and the barrier discipline must keep recovery
-    prefix-consistent anyway.  On ``durable_writes`` backends (sqlite,
-    object store) reordering is physically impossible and the tracking
-    self-disables — the same matrix then proves the plain crash
-    behavior, which is the conformance statement for them.
+    prefix-consistent anyway.
     """
 
-    def test_reordered_writes_stay_prefix_consistent(self, backend, tmp_path):
+    def test_reordered_writes_stay_prefix_consistent(self, tmp_path):
         prefixes = lattice_prefix_fingerprints()
         scenario = {"n": 0}
         workload = reorder_workload_factory(tmp_path, scenario)
 
         def recover(mode):
             durable = DurableLattice.reopen(
-                scenario["dir"] / "wal", recovery=mode, fs=backend.fresh()
+                scenario["dir"] / "wal", recovery=mode, fs=RealFS()
             )
             return durable.lattice.state_fingerprint()
 
         def faulty(crash_at):
-            return backend.faulty(crash_at=crash_at, reorder=True)
+            return FaultyFS(crash_at=crash_at, reorder=True)
 
         scenarios = drive_matrix(faulty, workload, recover, prefixes)
         assert scenarios > 10
@@ -588,12 +519,12 @@ class TestDiskFull:
     crash, which merely restarts it)."""
 
     def test_enospc_appends_exhaust_retries_and_latch(
-        self, backend, tmp_path
+        self, tmp_path
     ):
         from repro.core.errors import DegradedModeError
         from repro.storage.reliability import RetryPolicy
 
-        fs = backend.faulty(enospc_appends=5)
+        fs = FaultyFS(enospc_appends=5)
         durable = DurableLattice(
             tmp_path / "wal", fs=fs,
             retry=RetryPolicy(attempts=3, sleep=lambda _: None),
@@ -603,35 +534,35 @@ class TestDiskFull:
         assert durable.degraded
         # The half-persisted payloads were all rolled back: replay sees
         # the acknowledged (empty) prefix, not torn residue.
-        reopened = DurableLattice.reopen(tmp_path / "wal", fs=backend.fresh())
+        reopened = DurableLattice.reopen(tmp_path / "wal", fs=RealFS())
         assert "T_person" not in reopened.lattice
 
-    def test_transient_enospc_is_absorbed(self, backend, tmp_path):
+    def test_transient_enospc_is_absorbed(self, tmp_path):
         from repro.storage.reliability import RetryPolicy
 
-        fs = backend.faulty(enospc_appends=1)
+        fs = FaultyFS(enospc_appends=1)
         durable = DurableLattice(
             tmp_path / "wal", fs=fs,
             retry=RetryPolicy(attempts=3, sleep=lambda _: None),
         )
         durable.apply(SCRIPT[0])  # space freed up: the retry lands
         assert not durable.degraded
-        reopened = DurableLattice.reopen(tmp_path / "wal", fs=backend.fresh())
+        reopened = DurableLattice.reopen(tmp_path / "wal", fs=RealFS())
         assert "T_person" in reopened.lattice
 
     def test_enospc_checkpoint_leaves_the_old_one_intact(
-        self, backend, tmp_path
+        self, tmp_path
     ):
         from repro.core.errors import JournalError
         from repro.storage.framing import load_checkpoint
 
-        fs = backend.faulty()
+        fs = FaultyFS()
         durable = DurableLattice(tmp_path / "wal", fs=fs)
         for op in SCRIPT[:2]:
             durable.apply(op)
         durable.checkpoint()  # the good checkpoint
         checkpoint = (tmp_path / "wal").with_suffix(".checkpoint")
-        check_fs = backend.fresh()
+        check_fs = RealFS()
         _, old_generation = load_checkpoint(checkpoint, fs=check_fs)
         durable.apply(SCRIPT[2])
 
@@ -645,7 +576,7 @@ class TestDiskFull:
             checkpoint.with_suffix(checkpoint.suffix + ".tmp")
         )
         # Nothing durable was lost: a reopen replays the full history.
-        reopened = DurableLattice.reopen(tmp_path / "wal", fs=backend.fresh())
+        reopened = DurableLattice.reopen(tmp_path / "wal", fs=RealFS())
         expected = TypeLattice(None)
         for op in SCRIPT[:3]:
             op.apply(expected)
@@ -653,12 +584,12 @@ class TestDiskFull:
             expected.state_fingerprint()
 
     def test_enospc_quarantine_downgrades_to_best_effort(
-        self, backend, tmp_path
+        self, tmp_path
     ):
         """Salvage must heal the WAL even when the quarantine sidecar
         cannot be written (the disk is full — that may be *why* the WAL
         is damaged)."""
-        seed_fs = backend.fresh()
+        seed_fs = RealFS()
         jf_seed = JournalFile(tmp_path / "seed.wal", fs=seed_fs)
         for op in SCRIPT[:2]:
             jf_seed.append(op)
@@ -666,7 +597,7 @@ class TestDiskFull:
         wal = tmp_path / "full.wal"
         seed_fs.write_bytes(wal, good + b"#W1 0 9 00000000 junkjunk\n")
 
-        fs = backend.faulty(enospc_appends=1)
+        fs = FaultyFS(enospc_appends=1)
         report = JournalFile(wal, fs=fs).repair("salvage")
         assert report.quarantine_error is not None
         assert "disk-full" in report.quarantine_error
@@ -674,16 +605,16 @@ class TestDiskFull:
         assert "quarantine sidecar failed" in report.summary()
         # The repair itself still succeeded: valid prefix preserved,
         # damage truncated, no partial sidecar left behind.
-        check_fs = backend.fresh()
+        check_fs = RealFS()
         assert check_fs.read_bytes(wal) == good
         assert not check_fs.exists(wal.with_suffix(wal.suffix + ".corrupt"))
-        assert len(JournalFile(wal, fs=backend.fresh()).operations()) == 2
+        assert len(JournalFile(wal, fs=RealFS()).operations()) == 2
 
 
 class TestSalvageCrashMatrix:
-    def test_quarantine_is_crash_safe(self, backend, tmp_path):
+    def test_quarantine_is_crash_safe(self, tmp_path):
         """Crashing mid-quarantine never loses the valid WAL prefix."""
-        seed_fs = backend.fresh()
+        seed_fs = RealFS()
         jf_seed = JournalFile(tmp_path / "seed.wal", fs=seed_fs)
         for op in SCRIPT[:2]:
             jf_seed.append(op)
@@ -693,21 +624,21 @@ class TestSalvageCrashMatrix:
         crash_at = 0
         while crash_at < 50:
             wal = tmp_path / f"salvage-{crash_at}.wal"
-            backend.fresh().write_bytes(wal, good + damage)
-            fs = backend.faulty(crash_at=crash_at)
+            RealFS().write_bytes(wal, good + damage)
+            fs = FaultyFS(crash_at=crash_at)
             try:
                 JournalFile(wal, fs=fs).repair("salvage")
                 completed = not fs.crashed
             except CrashPoint:
                 completed = False
-            # Restart: salvage again over a fresh backend instance.
-            report = JournalFile(wal, fs=backend.fresh()).repair("salvage")
-            ops = JournalFile(wal, fs=backend.fresh()).operations()
+            # Restart: salvage again over a fresh RealFS.
+            report = JournalFile(wal, fs=RealFS()).repair("salvage")
+            ops = JournalFile(wal, fs=RealFS()).operations()
             assert len(ops) == 2, (
                 f"crash at point {crash_at}: valid prefix lost "
                 f"({report.summary()})"
             )
-            assert backend.fresh().read_bytes(wal) == good
+            assert RealFS().read_bytes(wal) == good
             if completed:
                 return
             crash_at += 1

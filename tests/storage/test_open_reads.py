@@ -3,7 +3,7 @@
 Recovery heals, loads the checkpoint, and reads and fences the log in
 one pass (:meth:`repro.storage.journal.JournalFile.replay`); a second
 read of the same bytes is pure open-time cost.  A counting
-:class:`FileBackend` pins the count for the schema store and the
+:class:`RealFS` pins the count for the schema store and the
 replica.
 """
 
@@ -12,7 +12,7 @@ from pathlib import Path
 
 from repro.core import AddEssentialProperty, AddType, prop
 from repro.replication import ReplicaStore
-from repro.storage import FileBackend
+from repro.storage import RealFS
 from repro.storage.journal import DurableLattice
 
 SCRIPT = [
@@ -22,8 +22,8 @@ SCRIPT = [
 ]
 
 
-class CountingFileBackend(FileBackend):
-    """A file backend that counts ``read_bytes`` calls per file name."""
+class CountingFS(RealFS):
+    """A :class:`RealFS` that counts ``read_bytes`` calls per file name."""
 
     def __init__(self) -> None:
         self.reads: Counter[str] = Counter()
@@ -45,7 +45,7 @@ def seed_checkpointed(path: Path) -> DurableLattice:
 def test_reopening_a_durable_lattice_reads_each_file_once(tmp_path):
     path = tmp_path / "wal"
     durable = seed_checkpointed(path)
-    fs = CountingFileBackend()
+    fs = CountingFS()
     reopened = DurableLattice.reopen(path, fs=fs)
     assert (
         reopened.lattice.state_fingerprint()
@@ -59,7 +59,7 @@ def test_opening_a_replica_reads_each_file_once(tmp_path):
     # WAL plus checkpoint is a valid replica image.
     path = tmp_path / "r.wal"
     durable = seed_checkpointed(path)
-    fs = CountingFileBackend()
+    fs = CountingFS()
     replica = ReplicaStore(path, fs=fs)
     assert replica.types() == durable.lattice.types()
     assert replica.position.index == 1

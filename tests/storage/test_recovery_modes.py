@@ -1,10 +1,7 @@
 """Recovery modes, unframed-line damage, fencing, auto-checkpoint.
 
-A conformance suite: every test takes the ``backend`` fixture and runs
-against both storage backends (see ``conftest.py``), performing its
-damage writes and sidecar inspections through the backend's own
-primitives so the same scenario exercises a plain file and a sqlite
-row set alike.
+Damage writes and sidecar inspections go through the :class:`RealFS`
+primitives, and every reopen uses a fresh instance (a restart).
 """
 
 import json
@@ -17,6 +14,7 @@ from repro.core import (
     CorruptRecordError,
     prop,
 )
+from repro.storage.faults import RealFS
 from repro.storage.framing import (
     RECOVERY_MODES,
     DurabilityPolicy,
@@ -40,29 +38,29 @@ def seed(path, fs, ops=SCRIPT):
 
 
 class TestRecoveryModes:
-    def test_strict_open_refuses_corruption(self, backend, tmp_path):
+    def test_strict_open_refuses_corruption(self, tmp_path):
         path = tmp_path / "wal"
-        fs = backend.fresh()
+        fs = RealFS()
         seed(path, fs)
         fs.append_bytes(path, b"#W1 0 9 00000000 junkjunk\n")
         with pytest.raises(CorruptRecordError, match="salvage"):
-            DurableLattice.reopen(path, fs=backend.fresh())  # strict default
+            DurableLattice.reopen(path, fs=RealFS())  # strict default
 
-    def test_salvage_open_quarantines_and_recovers(self, backend, tmp_path):
+    def test_salvage_open_quarantines_and_recovers(self, tmp_path):
         path = tmp_path / "wal"
-        fs = backend.fresh()
+        fs = RealFS()
         durable = seed(path, fs)
         expected = durable.lattice.state_fingerprint()
         fs.append_bytes(path, b"#W1 0 9 00000000 junkjunk\n")
         reopened = DurableLattice.reopen(
-            path, recovery="salvage", fs=backend.fresh()
+            path, recovery="salvage", fs=RealFS()
         )
         assert reopened.lattice.state_fingerprint() == expected
         report = reopened.recovery_report
         assert not report.clean
         assert report.records_dropped == 1
         sidecar = tmp_path / "wal.corrupt"
-        check_fs = backend.fresh()
+        check_fs = RealFS()
         assert check_fs.exists(sidecar)
         raw = check_fs.read_bytes(sidecar)
         assert b"junkjunk" in raw
@@ -70,22 +68,22 @@ class TestRecoveryModes:
         meta = json.loads(header.removeprefix(b"#QUARANTINE "))
         assert meta["reason"] and meta["bytes"] > 0
 
-    def test_clean_open_reports_clean(self, backend, tmp_path):
+    def test_clean_open_reports_clean(self, tmp_path):
         path = tmp_path / "wal"
-        seed(path, backend.fresh())
-        reopened = DurableLattice.reopen(path, fs=backend.fresh())
+        seed(path, RealFS())
+        reopened = DurableLattice.reopen(path, fs=RealFS())
         assert reopened.recovery_report.clean
         assert reopened.recovery_report.records_recovered == len(SCRIPT)
 
-    def test_salvage_after_salvage_is_stable(self, backend, tmp_path):
+    def test_salvage_after_salvage_is_stable(self, tmp_path):
         path = tmp_path / "wal"
-        fs = backend.fresh()
+        fs = RealFS()
         durable = seed(path, fs)
         expected = durable.lattice.state_fingerprint()
         fs.append_bytes(path, b"#W1 0 9 00000000 junkjunk\n")
-        DurableLattice.reopen(path, recovery="salvage", fs=backend.fresh())
+        DurableLattice.reopen(path, recovery="salvage", fs=RealFS())
         again = DurableLattice.reopen(
-            path, fs=backend.fresh()
+            path, fs=RealFS()
         )  # strict now succeeds
         assert again.lattice.state_fingerprint() == expected
         assert again.recovery_report.clean
@@ -99,33 +97,33 @@ class TestUnframedLines:
         AddType("T_employee", ("T_person",)).to_dict(), sort_keys=True
     ).encode("utf-8")
 
-    def test_terminated_bare_line_is_corrupt(self, backend, tmp_path):
+    def test_terminated_bare_line_is_corrupt(self, tmp_path):
         path = tmp_path / "wal"
-        fs = backend.fresh()
+        fs = RealFS()
         seed(path, fs)
         fs.append_bytes(path, self.BARE + b"\n")
         with pytest.raises(
             CorruptRecordError, match="repro recover --mode salvage"
         ):
-            DurableLattice.reopen(path, fs=backend.fresh())
+            DurableLattice.reopen(path, fs=RealFS())
 
     def test_salvage_quarantines_terminated_bare_line(
-        self, backend, tmp_path
+        self, tmp_path
     ):
         path = tmp_path / "wal"
-        fs = backend.fresh()
+        fs = RealFS()
         durable = seed(path, fs)
         framed = fs.read_bytes(path)
         fs.append_bytes(path, self.BARE + b"\n")
         reopened = DurableLattice.reopen(
-            path, recovery="salvage", fs=backend.fresh()
+            path, recovery="salvage", fs=RealFS()
         )
         assert (
             reopened.lattice.state_fingerprint()
             == durable.lattice.state_fingerprint()
         )
         assert reopened.recovery_report.records_dropped == 1
-        check_fs = backend.fresh()
+        check_fs = RealFS()
         assert check_fs.read_bytes(path) == framed
         assert self.BARE + b"\n" in check_fs.read_bytes(
             tmp_path / "wal.corrupt"
@@ -136,35 +134,35 @@ class TestUnframedLines:
         "tail", [BARE, b"#"], ids=["bare-json", "lone-hash"]
     )
     def test_unterminated_final_line_is_torn(
-        self, backend, tmp_path, tail, mode
+        self, tmp_path, tail, mode
     ):
         path = tmp_path / "wal"
-        fs = backend.fresh()
+        fs = RealFS()
         durable = seed(path, fs)
         framed = fs.read_bytes(path)
         fs.append_bytes(path, tail)
         reopened = DurableLattice.reopen(
-            path, recovery=mode, fs=backend.fresh()
+            path, recovery=mode, fs=RealFS()
         )
         assert (
             reopened.lattice.state_fingerprint()
             == durable.lattice.state_fingerprint()
         )
         assert reopened.recovery_report.torn_tail_bytes == len(tail)
-        check_fs = backend.fresh()
+        check_fs = RealFS()
         assert check_fs.read_bytes(path) == framed
         assert not check_fs.exists(tmp_path / "wal.corrupt")
 
 
 class TestGenerationFencing:
     def test_crash_between_checkpoint_and_truncate_no_double_apply(
-        self, backend, tmp_path
+        self, tmp_path
     ):
         """The bug the fence exists for: checkpoint published, WAL not yet
         truncated.  Replaying the stale tail on top of the checkpoint
         would double-apply every operation."""
         path = tmp_path / "wal"
-        fs = backend.fresh()
+        fs = RealFS()
         durable = seed(path, fs)
         expected = durable.lattice.state_fingerprint()
         wal_before = fs.read_bytes(path)
@@ -179,55 +177,55 @@ class TestGenerationFencing:
         )
         assert fs.read_bytes(path) == wal_before
         reopened = DurableLattice.reopen(
-            path, fs=backend.fresh()
+            path, fs=RealFS()
         )  # strict: no corruption here
         assert reopened.lattice.state_fingerprint() == expected
         assert reopened.recovery_report.records_fenced == len(SCRIPT)
 
     def test_appends_after_checkpoint_carry_new_generation(
-        self, backend, tmp_path
+        self, tmp_path
     ):
         path = tmp_path / "wal"
-        durable = seed(path, backend.fresh())
+        durable = seed(path, RealFS())
         durable.checkpoint()
         durable.apply(AddType("T_employee", ("T_person",)))
-        jf = JournalFile(path, fs=backend.fresh())
+        jf = JournalFile(path, fs=RealFS())
         assert jf.generation == 1
         assert len(jf.operations()) == 1
 
 
 class TestAutoCheckpoint:
-    def test_interval_policy_truncates_wal(self, backend, tmp_path):
+    def test_interval_policy_truncates_wal(self, tmp_path):
         path = tmp_path / "wal"
         durable = DurableLattice(
             path,
             durability=DurabilityPolicy(checkpoint_every=2),
-            fs=backend.fresh(),
+            fs=RealFS(),
         )
         durable.apply(SCRIPT[0])
-        assert len(JournalFile(path, fs=backend.fresh()).operations()) == 1
+        assert len(JournalFile(path, fs=RealFS()).operations()) == 1
         durable.apply(SCRIPT[1])  # second record: auto-checkpoint fires
-        assert JournalFile(path, fs=backend.fresh()).operations() == []
+        assert JournalFile(path, fs=RealFS()).operations() == []
         durable.apply(SCRIPT[2])
-        reopened = DurableLattice.reopen(path, fs=backend.fresh())
+        reopened = DurableLattice.reopen(path, fs=RealFS())
         assert (
             reopened.lattice.state_fingerprint()
             == durable.lattice.state_fingerprint()
         )
 
-    def test_replay_budget_checkpoints_on_open(self, backend, tmp_path):
+    def test_replay_budget_checkpoints_on_open(self, tmp_path):
         path = tmp_path / "wal"
-        seed(path, backend.fresh())
-        assert backend.fresh().read_bytes(path) != b""
+        seed(path, RealFS())
+        assert RealFS().read_bytes(path) != b""
         reopened = DurableLattice(
             path,
             durability=DurabilityPolicy(replay_budget_seconds=0.0),
-            fs=backend.fresh(),
+            fs=RealFS(),
         )
         # Any replay exceeds a zero budget: the tail was folded away.
-        assert backend.fresh().read_bytes(path) == b""
-        assert backend.fresh().exists(tmp_path / "wal.checkpoint")
-        again = DurableLattice.reopen(path, fs=backend.fresh())
+        assert RealFS().read_bytes(path) == b""
+        assert RealFS().exists(tmp_path / "wal.checkpoint")
+        again = DurableLattice.reopen(path, fs=RealFS())
         assert (
             again.lattice.state_fingerprint()
             == reopened.lattice.state_fingerprint()

@@ -485,11 +485,10 @@ class TestRecoverCommand:
 
 
 class TestBackendUrls:
-    """The --db flag accepts backend URLs (see docs/storage.md)."""
+    """--db takes a path or a file: URL (see docs/storage.md)."""
 
-    @pytest.mark.parametrize("scheme", ["sqlite"])
-    def test_lifecycle_through_backend_url(self, tmp_path, scheme, capsys):
-        url = f"{scheme}:{tmp_path}/store"
+    def test_lifecycle_through_backend_url(self, tmp_path, capsys):
+        url = f"file:{tmp_path}/store"
         assert run(url, "add-type", "T_person", "-p", "person.name") == 0
         assert run(url, "add-type", "T_student", "-s", "T_person") == 0
         assert run(url, "checkpoint") == 0
@@ -497,14 +496,20 @@ class TestBackendUrls:
         out = capsys.readouterr().out
         assert "T_student" in out
         assert run(url, "check") == 0
+        assert (tmp_path / "store.checkpoint").exists()
 
-    @pytest.mark.parametrize("scheme", ["sqlite"])
-    def test_recover_through_backend_url(self, tmp_path, scheme, capsys):
-        url = f"{scheme}:{tmp_path}/store"
+    def test_recover_through_backend_url(self, tmp_path, capsys):
+        url = f"file:{tmp_path}/store"
         run(url, "add-type", "T_a")
         capsys.readouterr()
         assert run(url, "recover") == 0
         assert "replay verified" in capsys.readouterr().out
+        assert (tmp_path / "store").exists()
+
+    def test_sqlite_url_names_the_removal(self, tmp_path, capsys):
+        assert run(f"sqlite:{tmp_path}/store.sqlite", "init") == 1
+        assert "sqlite storage backend was removed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_scheme_fails_with_typed_error(self, capsys):
         assert run("redis://localhost/0", "init") == 1
